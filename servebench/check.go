@@ -13,22 +13,35 @@ import (
 // tally reconciles a phase's acks, as they arrive, against the /metrics
 // read before the phase (and, in check, after it). Every step in between
 // served at least one of this client's frames (the client is the only
-// traffic), so the acks' step indices must run consecutively from the
-// step after before's last; the frames sharing a step must add up to its
-// batch; and the per-step costs, added in step order exactly as the
-// server's metrics observer adds them, must give after's totals bit for
-// bit.
+// traffic), so the acks' step indices must cover the steps after before's
+// last without a gap; the frames sharing a step must agree on it and add
+// up to its batch; and the per-step costs, added in step order exactly as
+// the server's metrics observer adds them, must give after's totals bit
+// for bit. Acks may name their steps out of order: a throttled frame is
+// resent after frames sent behind it, which the server may step first.
 type tally struct {
-	before              wire.MetricsResponse
+	before wire.MetricsResponse
+	// open holds the steps, by index less before.Steps, whose acks do not
+	// yet add up to their batch, or that wait behind such a step. The done
+	// steps before them are complete and summed into move and serve, so
+	// open stays as small as the frames in flight.
+	open                map[int]*stepTally
+	done                int
 	move, serve         float64
-	t, steps, requests  int
-	batched, inStep     int
+	requests            int
 	frames, failed, ack int // frames seen, failed, and requests acked
 	err                 error
 }
 
+// stepTally is what the acks of one step said: its batch and cost, and how
+// many of this client's requests they held.
+type stepTally struct {
+	batched, held int
+	cost          wire.Cost
+}
+
 func newTally(before wire.MetricsResponse) *tally {
-	return &tally{before: before, move: before.Cost.Move, serve: before.Cost.Serve, t: before.Steps - 1}
+	return &tally{before: before, open: map[int]*stepTally{}, move: before.Cost.Move, serve: before.Cost.Serve}
 }
 
 func (c *tally) add(r frameRec) {
@@ -41,33 +54,39 @@ func (c *tally) add(r frameRec) {
 	if c.err != nil {
 		return
 	}
-	if r.Accepted != r.N {
-		c.err = fmt.Errorf("frame %d: ack accepted %d of %d requests", r.ID, r.Accepted, r.N)
-		return
-	}
-	c.requests += r.N
-	if c.steps > 0 && r.T == c.t {
-		if r.Batched != c.batched {
-			c.err = fmt.Errorf("frames of step %d disagree on its batch: %d vs %d", c.t, r.Batched, c.batched)
-		}
-		c.inStep += r.N
-		return
-	}
-	if c.err = c.closeStep(); c.err != nil {
-		return
-	}
-	if r.T != c.t+1 {
-		c.err = fmt.Errorf("ack for step %d follows step %d", r.T, c.t)
-		return
-	}
-	c.t, c.steps, c.batched, c.inStep = r.T, c.steps+1, r.Batched, r.N
-	c.move += r.Cost.Move
-	c.serve += r.Cost.Serve
+	c.err = c.fold(r)
 }
 
-func (c *tally) closeStep() error {
-	if c.steps > 0 && c.inStep != c.batched {
-		return fmt.Errorf("step %d batched %d requests but this client's frames in it hold %d", c.t, c.batched, c.inStep)
+// fold adds one ack to its step and sums every step that is complete with
+// all steps before it.
+func (c *tally) fold(r frameRec) error {
+	if r.Accepted != r.N {
+		return fmt.Errorf("frame %d: ack accepted %d of %d requests", r.ID, r.Accepted, r.N)
+	}
+	i := r.T - c.before.Steps
+	switch {
+	case i < 0:
+		return fmt.Errorf("frame %d: ack for step %d, before the phase's first step %d", r.ID, r.T, c.before.Steps)
+	case i < c.done:
+		return fmt.Errorf("frame %d: ack for step %d, whose batch earlier acks already held", r.ID, r.T)
+	}
+	c.requests += r.N
+	st := c.open[i]
+	if st == nil {
+		st = &stepTally{batched: r.Batched, cost: r.Cost}
+		c.open[i] = st
+	} else if r.Batched != st.batched || r.Cost != st.cost {
+		return fmt.Errorf("frames of step %d disagree on it: batch %d cost %v vs batch %d cost %v",
+			r.T, r.Batched, r.Cost, st.batched, st.cost)
+	}
+	if st.held += r.N; st.held > st.batched {
+		return fmt.Errorf("step %d batched %d requests but this client's frames in it hold %d", r.T, st.batched, st.held)
+	}
+	for st := c.open[c.done]; st != nil && st.held == st.batched; st = c.open[c.done] {
+		c.move += st.cost.Move
+		c.serve += st.cost.Serve
+		delete(c.open, c.done)
+		c.done++
 	}
 	return nil
 }
@@ -77,13 +96,17 @@ func (c *tally) check(after wire.MetricsResponse) error {
 	if c.err != nil {
 		return c.err
 	}
-	if err := c.closeStep(); err != nil {
-		return err
-	}
 	b := c.before
+	if len(c.open) > 0 {
+		t := b.Steps + c.done
+		if st := c.open[c.done]; st != nil {
+			return fmt.Errorf("step %d batched %d requests but this client's frames in it hold %d", t, st.batched, st.held)
+		}
+		return fmt.Errorf("no ack names step %d", t)
+	}
 	switch {
-	case after.Steps != b.Steps+c.steps:
-		return fmt.Errorf("/metrics advanced %d steps, acks name %d", after.Steps-b.Steps, c.steps)
+	case after.Steps != b.Steps+c.done:
+		return fmt.Errorf("/metrics advanced %d steps, acks name %d", after.Steps-b.Steps, c.done)
 	case after.Requests != b.Requests+c.requests:
 		return fmt.Errorf("/metrics advanced %d requests, acks name %d", after.Requests-b.Requests, c.requests)
 	case after.Cost.Move != c.move || after.Cost.Serve != c.serve:

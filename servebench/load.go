@@ -90,8 +90,15 @@ type phase struct {
 	acks   []wire.AckFrame
 }
 
-func newPhase(before wire.MetricsResponse, keep bool, sample int) *phase {
-	return &phase{tally: newTally(before), keep: keep, sample: sample}
+// newPhase starts a phase. A phase that keeps its records reserves room
+// for reserve records up front, so their growth neither copies them nor
+// moves the heap's peak from run to run.
+func newPhase(before wire.MetricsResponse, keep bool, reserve, sample int) *phase {
+	ph := &phase{tally: newTally(before), keep: keep, sample: sample}
+	if keep {
+		ph.recs = make([]frameRec, 0, reserve)
+	}
+	return ph
 }
 
 // segment is one connection's share of a phase: its span, the index of

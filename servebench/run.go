@@ -142,8 +142,8 @@ func run(c runCfg, epoch time.Time) (*runOut, error) {
 	// scheduled can hold a connection's latency in one mode for its whole
 	// life, so each segment is an independent draw, and the timed phases
 	// report the median over segments.
-	out.lock = newPhase(m0, true, 0)
 	n := len(c.frames.lockstep)
+	out.lock = newPhase(m0, true, n, 0)
 	for i := range c.spec.Segments {
 		if i > 0 {
 			if err := d.redial(); err != nil {
@@ -176,7 +176,7 @@ func run(c runCfg, epoch time.Time) (*runOut, error) {
 		return nil, err
 	}
 
-	out.sat = newPhase(m1, false, 0)
+	out.sat = newPhase(m1, false, 0, 0)
 	for range c.spec.Segments {
 		if err := d.redial(); err != nil {
 			return nil, err
@@ -192,7 +192,11 @@ func run(c runCfg, epoch time.Time) (*runOut, error) {
 		return nil, err
 	}
 
-	out.open = newPhase(m2, true, 256)
+	sends := 0
+	for _, arr := range c.arrivals {
+		sends += len(arr)
+	}
+	out.open = newPhase(m2, true, sends, 256)
 	out.reads, err = d.withReads(c.spec.ReadHz, func() error {
 		for _, arr := range c.arrivals {
 			if err := d.redial(); err != nil {

@@ -135,12 +135,20 @@ func TestTallyCatchesMismatch(t *testing.T) {
 	if err := reconcile(before, after, recs); err != nil {
 		t.Fatalf("consistent acks refused: %v", err)
 	}
+	// A throttled frame is resent behind later frames, so its ack can
+	// name an earlier step than the ack collected before it.
+	resent := []frameRec{recs[0], recs[2], recs[1]}
+	if err := reconcile(before, after, resent); err != nil {
+		t.Fatalf("consistent acks out of step order refused: %v", err)
+	}
 	cases := map[string]func(rs []frameRec, a *wire.MetricsResponse){
-		"cost":    func(rs []frameRec, a *wire.MetricsResponse) { a.Cost.Serve += 1e-12 },
-		"gap":     func(rs []frameRec, a *wire.MetricsResponse) { rs[2].T = 5 },
-		"batch":   func(rs []frameRec, a *wire.MetricsResponse) { rs[1].Batched = 5 },
-		"partial": func(rs []frameRec, a *wire.MetricsResponse) { rs[2].Accepted = 0 },
-		"steps":   func(rs []frameRec, a *wire.MetricsResponse) { a.Steps++ },
+		"cost":     func(rs []frameRec, a *wire.MetricsResponse) { a.Cost.Serve += 1e-12 },
+		"gap":      func(rs []frameRec, a *wire.MetricsResponse) { rs[2].T = 5 },
+		"batch":    func(rs []frameRec, a *wire.MetricsResponse) { rs[1].Batched = 5 },
+		"partial":  func(rs []frameRec, a *wire.MetricsResponse) { rs[2].Accepted = 0 },
+		"steps":    func(rs []frameRec, a *wire.MetricsResponse) { a.Steps++ },
+		"early":    func(rs []frameRec, a *wire.MetricsResponse) { rs[0].T = 2 },
+		"stepcost": func(rs []frameRec, a *wire.MetricsResponse) { rs[1].Cost.Move = 0.75 },
 	}
 	for name, doctor := range cases {
 		rs := append([]frameRec(nil), recs...)

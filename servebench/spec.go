@@ -65,10 +65,11 @@ type workSpec struct {
 	// phases cycle through; it bounds the memory the inputs take.
 	PoolFrames int `json:"pool_frames"`
 	// Layouts is how many independently seeded generator instances the
-	// pool is drawn from, in equal blocks. A Zipf instance places its
-	// head sites once, and where they land decides how unevenly the
-	// shards are loaded, so a pool from one instance would make the
-	// timed phases' throughput mostly a property of the seed.
+	// lockstep frames, and apart from them the pool, are drawn from, in
+	// equal blocks. A Zipf instance places its head sites once, and where
+	// they land decides the serving cost and how unevenly the shards are
+	// loaded, so frames from one instance would make cost_per_request and
+	// the timed phases' throughput mostly a property of the seed.
 	Layouts        int                 `json:"layouts"`
 	Window         int                 `json:"window"`
 	Rate           float64             `json:"rate"`
@@ -125,16 +126,20 @@ func genFrames(s spec, w workSpec, seed uint64) (frames, error) {
 		g = z
 	}
 	cfg := s.coreConfig(w)
-	var fr frames
-	for _, st := range g.Generate(xrand.New(seed), cfg, w.LockstepFrames).Steps {
-		fr.lockstep = append(fr.lockstep, toWire(st.Requests))
-	}
-	for k := 0; k < w.Layouts; k++ {
-		for _, st := range g.Generate(xrand.NewStream(seed, uint64(2+k)), cfg, w.PoolFrames/w.Layouts).Steps {
-			fr.pool = append(fr.pool, toWire(st.Requests))
+	// draw generates n frames from w.Layouts generator instances, seeded
+	// from streams first, first+1, ..., in equal blocks. Stream 1 draws
+	// the open phase's arrivals.
+	draw := func(n int, first uint64) [][]wire.Point {
+		var out [][]wire.Point
+		for k := range w.Layouts {
+			m := (k+1)*n/w.Layouts - k*n/w.Layouts
+			for _, st := range g.Generate(xrand.NewStream(seed, first+uint64(k)), cfg, m).Steps {
+				out = append(out, toWire(st.Requests))
+			}
 		}
+		return out
 	}
-	return fr, nil
+	return frames{lockstep: draw(w.LockstepFrames, 2+uint64(w.Layouts)), pool: draw(w.PoolFrames, 2)}, nil
 }
 
 func toWire(pts []geom.Point) []wire.Point {
