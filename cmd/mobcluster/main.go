@@ -1,5 +1,5 @@
 // Command mobcluster runs one node of the distributed serving layer: a
-// shard worker hosting per-shard engine sessions behind the NDJSON
+// shard worker hosting per-shard engine sessions behind the binary
 // streaming transport, or the coordinator that fronts a fleet of such
 // workers with the ordinary mobserve API (/step, /stream, /metrics,
 // /state, /snapshot, /metrics/stream).
@@ -55,7 +55,6 @@ import (
 	"repro/internal/multi"
 	"repro/internal/protocol"
 	"repro/internal/server"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -74,8 +73,6 @@ func main() {
 		algName = flag.String("alg", "", "worker algorithm: mtc|mtck|lazy (default mtck)")
 		clamp   = flag.Bool("clamp", false, "worker: clamp over-cap moves instead of failing the step")
 		ckptDir = flag.String("ckpt-dir", "", "worker: per-shard checkpoint directory (required; share it between workers that cover for each other)")
-
-		wireOpt = flag.String("wire", "auto", "shard-stream encoding: auto (negotiate binary, fall back to ndjson) | binary (worker: grant it; coordinator: require it) | ndjson (pin)")
 
 		window      = flag.Int("window", 1, "pipelined ingestion window: coordinator keeps up to this many steps in flight per shard; worker grants windows up to it (1 = lockstep)")
 		commitEvery = flag.Int("commit-every", 1, "worker: group-commit cadence — one fsynced checkpoint covers up to this many steps before their acks release (1 = checkpoint every step)")
@@ -97,12 +94,6 @@ func main() {
 		fatal(err)
 	}
 
-	switch *wireOpt {
-	case "auto", "binary", "ndjson":
-	default:
-		fatal(fmt.Errorf("unknown -wire policy %q (auto|binary|ndjson)", *wireOpt))
-	}
-
 	if *window < 1 {
 		fatal(fmt.Errorf("-window must be >= 1, got %d", *window))
 	}
@@ -112,9 +103,9 @@ func main() {
 
 	switch *role {
 	case "worker":
-		runWorker(cfg, *addr, *algName, *ckptDir, *span, *clamp, *queue, *wireOpt, *window, *commitEvery)
+		runWorker(cfg, *addr, *algName, *ckptDir, *span, *clamp, *queue, *window, *commitEvery)
 	case "coordinator":
-		runCoordinator(cfg, *addr, *workers, *coalesce, *heartbeat, *attempts, *backoff, *queue, *wireOpt, *window)
+		runCoordinator(cfg, *addr, *workers, *coalesce, *heartbeat, *attempts, *backoff, *queue, *window)
 	case "":
 		fatal(errors.New("-role is required: coordinator|worker"))
 	default:
@@ -122,7 +113,7 @@ func main() {
 	}
 }
 
-func runWorker(cfg core.Config, addr, algName, ckptDir string, span float64, clamp bool, queue int, wireOpt string, window, commitEvery int) {
+func runWorker(cfg core.Config, addr, algName, ckptDir string, span float64, clamp bool, queue, window, commitEvery int) {
 	newAlg, err := pickAlgorithm(algName, cfg)
 	if err != nil {
 		fatal(err)
@@ -134,11 +125,6 @@ func runWorker(cfg core.Config, addr, algName, ckptDir string, span float64, cla
 		QueueLimit:    queue,
 		MaxWindow:     window,
 		CommitEvery:   commitEvery,
-	}
-	// auto and binary both grant a coordinator's binary request (the
-	// worker side never initiates); ndjson pins the hosted streams.
-	if wireOpt == "ndjson" {
-		opts.Wire = wire.WireNDJSON
 	}
 	if clamp {
 		opts.Mode = engine.Clamp
@@ -160,7 +146,7 @@ func runWorker(cfg core.Config, addr, algName, ckptDir string, span float64, cla
 	})
 }
 
-func runCoordinator(cfg core.Config, addr, workers string, coalesce, heartbeat time.Duration, attempts int, backoff time.Duration, queue int, wireOpt string, window int) {
+func runCoordinator(cfg core.Config, addr, workers string, coalesce, heartbeat time.Duration, attempts int, backoff time.Duration, queue, window int) {
 	if workers == "" {
 		fatal(errors.New("-role coordinator requires -workers"))
 	}
@@ -170,12 +156,6 @@ func runCoordinator(cfg core.Config, addr, workers string, coalesce, heartbeat t
 		MaxAttempts: attempts,
 		BaseBackoff: backoff,
 		Window:      window,
-	}
-	switch wireOpt {
-	case "binary":
-		copts.Wire = wire.WireBinary // require: fail loudly on old workers
-	case "ndjson":
-		copts.Wire = wire.WireNDJSON
 	}
 	svc, err := cluster.NewService(cfg, copts, protocol.Options{
 		CoalesceWindow: coalesce,

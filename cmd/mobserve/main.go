@@ -3,7 +3,7 @@
 // window are merged into one engine step, a bounded queue answers 429 when
 // overloaded, and /metrics and /state stream live counters. Unless
 // -stream=false, two persistent streaming endpoints ride along: POST
-// /stream upgrades the connection to pipelined NDJSON step frames (one
+// /stream upgrades the connection to pipelined binary step frames (one
 // client streams batches without per-request HTTP overhead; backpressure
 // arrives as typed throttle frames), and GET /metrics/stream pushes one
 // server-sent metrics event per executed step. With -shards N
@@ -38,7 +38,7 @@
 //
 // See examples/client for a load generator that drives this server and
 // reconciles its own counters against /metrics (use its -regions flag to
-// spread load across the shards, and -stream to pipeline NDJSON frames
+// spread load across the shards, and -stream to pipeline binary frames
 // over one connection instead of per-request HTTP).
 package main
 
@@ -79,8 +79,7 @@ func main() {
 		ckpt    = flag.String("checkpoint", "", "checkpoint file; resumes from it when present")
 		every   = flag.Int("every", 1, "steps between checkpoints")
 		clamp   = flag.Bool("clamp", false, "clamp over-cap moves instead of failing the step")
-		stream  = flag.Bool("stream", true, "serve the persistent streaming endpoints (POST /stream frames, GET /metrics/stream SSE)")
-		wireOpt = flag.String("wire", "binary", "stream encoding policy: binary (grant clients' binary-frame requests) | ndjson (pin every stream to NDJSON)")
+		stream  = flag.Bool("stream", true, "serve the persistent streaming endpoints (POST /stream binary frames, GET /metrics/stream SSE)")
 
 		rebalance = flag.String("rebalance", "", "dynamic shard rebalancing policy: threshold (empty = static layout; requires -shards > 1)")
 		rebWindow = flag.Int("rebalance-window", shard.DefaultRebalanceWindow, "rebalancing: sliding load-window length in steps")
@@ -142,12 +141,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch *wireOpt {
-	case "binary", "ndjson":
-		srv.SetStreamWire(*wireOpt)
-	default:
-		fatal(fmt.Errorf("unknown -wire policy %q (binary|ndjson)", *wireOpt))
-	}
 	layout := fmt.Sprintf("K=%d, dim %d", cfg.Servers(), cfg.Dim)
 	if n := cfg.Partition.Shards(); n > 1 {
 		layout = fmt.Sprintf("%d shards × K=%d, dim %d", n, cfg.Servers(), cfg.Dim)
@@ -167,7 +160,7 @@ func main() {
 	go func() {
 		transports := "transports: http"
 		if *stream {
-			transports = "transports: http + ndjson /stream + sse /metrics/stream"
+			transports = "transports: http + binary /stream + sse /metrics/stream"
 		}
 		fmt.Printf("listening on %s (coalescing window %v, queue %d; %s)\n", *addr, *window, *queue, transports)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

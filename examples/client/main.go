@@ -15,7 +15,7 @@
 //
 // With -stream the same workload rides the persistent streaming transport
 // instead: one TCP connection is upgraded via POST /stream and every batch
-// becomes a pipelined NDJSON step frame (up to -inflight of them in
+// becomes a pipelined binary step frame (up to -inflight of them in
 // flight), acked in order by the server; backpressure arrives as typed
 // throttle frames, answered with a jittered backoff and a resend of the
 // same frame. Same tallies, same reconciliation — just no per-request
@@ -88,7 +88,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload random seed (same seed, same sequence)")
 		stream   = flag.Bool("stream", false, "pipeline step frames over one persistent POST /stream connection instead of per-request HTTP")
 		inflight = flag.Int("inflight", 32, "stream mode: maximum unacknowledged frames in flight")
-		wireOpt  = flag.String("wire", "auto", "stream mode encoding: auto (negotiate binary, fall back to ndjson) | binary (require) | ndjson (pin)")
 	)
 	flag.Parse()
 	if !strings.Contains(*addr, "://") {
@@ -115,7 +114,7 @@ func main() {
 	)
 	start := time.Now()
 	if *stream {
-		accepted, retries, costs, err = driveStream(*addr, gen, *dim, *inflight, *wireOpt)
+		accepted, retries, costs, err = driveStream(*addr, gen, *dim, *inflight)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "client: stream: %v\n", err)
 			os.Exit(1)
@@ -245,14 +244,14 @@ func driveHTTP(addr string, gen load, workers int) (accepted, retries int, costs
 // to inflight of them unacknowledged. Throttle frames are resent by the
 // client itself after a jittered backoff; acks are tallied exactly like
 // HTTP responses.
-func driveStream(addr string, gen load, dim, inflight int, wireOpt string) (accepted, retries int, costs map[int]wire.Cost, err error) {
-	c, err := streamclient.Dial(addr, "/stream", streamclient.Options{Dim: dim, Wire: wireOpt})
+func driveStream(addr string, gen load, dim, inflight int) (accepted, retries int, costs map[int]wire.Cost, err error) {
+	c, err := streamclient.Dial(addr, "/stream", streamclient.Options{Dim: dim})
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	defer c.Close()
 	w := c.Welcome()
-	fmt.Printf("stream open: %s at step %d (dim %d, %s frames)\n", w.Algorithm, w.T, w.Dim, c.Wire())
+	fmt.Printf("stream open: %s at step %d (dim %d)\n", w.Algorithm, w.T, w.Dim)
 
 	// Writer: pipeline fresh frames as the in-flight window allows. The
 	// semaphore is released per ack; a throttled frame keeps its slot

@@ -5,7 +5,7 @@
 // that owns each shard by axis-0 position, and merges the per-shard acks
 // back into the exact combined step/metrics/snapshot shapes shard.Router
 // produces in-process. A Worker hosts the per-shard engine sessions behind
-// the versioned NDJSON streaming transport, checkpointing every step
+// the versioned binary streaming transport, checkpointing every step
 // before acknowledgement.
 //
 // Failover invariant: no acknowledged step is ever lost, and no step is
@@ -75,14 +75,6 @@ type CoordinatorOptions struct {
 	MaxAttempts int
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Wire selects the frame encoding requested from workers: empty (or
-	// streamclient.WireAuto) negotiates binary with transparent NDJSON
-	// fallback for older workers; wire.WireNDJSON pins NDJSON;
-	// wire.WireBinary requires binary. The mirrors are bit-identical
-	// either way — binary acks carry exact float64 bits, like JSON's
-	// round-trip — so /metrics, /state, and /snapshot do not depend on
-	// the choice.
-	Wire string
 	// Window, when > 1, asks every worker for a pipelined ingestion window
 	// and lets the coordinator keep up to that many global steps in flight
 	// at once (StepAsync/ResolveOldest) instead of paying one full
@@ -278,7 +270,6 @@ func (c *Coordinator) streamPath(i, floor int) string {
 func (c *Coordinator) dialOpts() streamclient.Options {
 	return streamclient.Options{
 		Dim:              c.cfg.Dim,
-		Wire:             c.opts.Wire,
 		Window:           c.opts.Window,
 		MaxAttempts:      c.opts.MaxAttempts,
 		BaseBackoff:      c.opts.BaseBackoff,
@@ -771,10 +762,10 @@ func ringEntry(w wire.WelcomeFrame, t int) *wire.LastStep {
 
 // fromAck validates one shard's step outcome and converts it to the
 // coordinator's internal form. The acked positions are deep-copied into
-// the shard's spare buffer: on the binary encoding resp.Positions aliases
-// the client's pooled ack storage, which is recycled as soon as the
-// caller Releases the pending, so sharing it (the old toGeom behavior)
-// would let a later ack overwrite the retained mirror.
+// the shard's spare buffer: resp.Positions aliases the client's pooled
+// ack storage, which is recycled as soon as the caller Releases the
+// pending, so sharing it (the old toGeom behavior) would let a later ack
+// overwrite the retained mirror.
 func (c *Coordinator) fromAck(i, t int, resp wire.StepResponse) (shardAck, error) {
 	if resp.T != t {
 		return shardAck{}, fmt.Errorf("worker acked step %d, coordinator sent %d", resp.T, t)

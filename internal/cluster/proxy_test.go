@@ -8,9 +8,9 @@ import (
 )
 
 // testProxy is a TCP relay the tests put in front of a worker they intend
-// to fail. httptest's CloseClientConnections cannot kill hijacked NDJSON
-// streams (the tracker forgets a connection the moment it is hijacked), so
-// "crashing" a worker in-process needs a cut upstream of it:
+// to fail. httptest's CloseClientConnections cannot kill hijacked stream
+// connections (the tracker forgets a connection the moment it is
+// hijacked), so "crashing" a worker in-process needs a cut upstream of it:
 //
 //   - kill() is a crash: every connection drops (both halves) and new
 //     dials are refused — what a SIGKILLed process looks like from the

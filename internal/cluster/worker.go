@@ -1,6 +1,6 @@
 // The worker side of the cluster: one process hosts the engine sessions
 // of the shards assigned to it, each behind the full serving core
-// (protocol.Service) and the versioned NDJSON streaming transport, under
+// (protocol.Service) and the versioned binary streaming transport, under
 // per-shard paths:
 //
 //	POST /shard/{i}/stream?floor=T   pipelined step frames for shard i
@@ -61,12 +61,6 @@ type WorkerOptions struct {
 	// QueueLimit bounds each shard service's step queue; default
 	// protocol.DefaultQueueLimit.
 	QueueLimit int
-	// Wire is the stream-encoding policy for the hosted shard services:
-	// empty (or wire.WireBinary) grants a coordinator's binary request,
-	// wire.WireNDJSON pins every stream to NDJSON — the knob that lets a
-	// mixed-version fleet (old workers, new coordinator) be reproduced in
-	// tests.
-	Wire string
 	// MaxWindow, when > 1, lets the hosted shard services grant pipelined
 	// ingestion windows up to this depth: each keeps an ack ring of its
 	// last MaxWindow executed steps (persisted in the checkpoint) so a
@@ -215,7 +209,6 @@ func (w *Worker) open(i int) (*server.Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: resume: %w", i, err)
 		}
-		srv.SetStreamWire(w.opts.Wire)
 		return srv, nil
 	}
 	if !errors.Is(err, os.ErrNotExist) {
@@ -230,7 +223,6 @@ func (w *Worker) open(i int) (*server.Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 	}
-	srv.SetStreamWire(w.opts.Wire)
 	return srv, nil
 }
 

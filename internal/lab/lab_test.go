@@ -53,7 +53,7 @@ func TestSpecRejectsBadMatrices(t *testing.T) {
 		"threshold unsharded": `{"workloads": [{"generator": "uniform"}], "shards": [1], "k": [2], "rebalance": ["threshold"]}`,
 		"threshold k=1":       `{"workloads": [{"generator": "uniform"}], "shards": [2], "k": [1], "rebalance": ["threshold"]}`,
 		"unknown policy":      `{"workloads": [{"generator": "uniform"}], "rebalance": ["magic"]}`,
-		"wire without live":   `{"workloads": [{"generator": "uniform"}], "wire": ["binary"]}`,
+		"window without live": `{"workloads": [{"generator": "uniform"}], "window": [4]}`,
 		"unknown field":       `{"workloads": [{"generator": "uniform"}], "sharrds": [2]}`,
 		"duplicate axis":      `{"workloads": [{"generator": "uniform"}], "shards": [2, 2], "k": [2]}`,
 	}

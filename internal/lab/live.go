@@ -2,7 +2,7 @@
 // instance over the streaming transport via internal/streamclient, follow
 // the SSE feed for rebalance/failover events, and scrape the final
 // /metrics and /state into the summary. Live cells exercise the full
-// serving path (process boundary, wire negotiation, pipelining), so their
+// serving path (process boundary, stream handshake, pipelining), so their
 // summaries record real serving facts — but event counts ride the SSE
 // drop policy and process scheduling, and are best-effort, not
 // byte-reproducible.
@@ -118,7 +118,6 @@ func (r *Runner) runCellLive(ctx context.Context, c Cell, in *core.Instance) (wi
 
 	cl, err := streamclient.Dial(base, "/stream", streamclient.Options{
 		Dim:    cfg.Dim,
-		Wire:   c.Wire,
 		Window: c.Window,
 	})
 	if err != nil {
@@ -149,7 +148,6 @@ func (r *Runner) runCellLive(ctx context.Context, c Cell, in *core.Instance) (wi
 	sseWG.Wait()
 
 	sum := r.summary(c, in)
-	sum.Wire = cl.Wire()
 	sum.Window = window
 	sum.T = m.Steps
 	sum.Requests = m.Requests

@@ -342,7 +342,7 @@ func BenchEntry(name string, sums []wire.LabCellSummary) wire.LabBenchEntry {
 	pairKey := func(s wire.LabCellSummary) string {
 		return strings.Join([]string{
 			s.Workload, fmt.Sprint(s.Shards), fmt.Sprint(s.K), s.CapMode,
-			s.Transport, s.Wire, fmt.Sprint(s.Window),
+			s.Transport, fmt.Sprint(s.Window),
 		}, "|")
 	}
 	type pair struct {

@@ -136,11 +136,9 @@ type Spec struct {
 	// in-process protocol.Service; "live" spawns a mobserve per cell and
 	// feeds it over the streaming transport.
 	Mode string `json:"mode,omitempty"`
-	// Wire and Window are live-mode axes: the requested stream encoding
-	// ("auto"|"binary"|"ndjson", default [auto]) and in-flight pipeline
-	// depth (default [1]). Refused in inproc mode.
-	Wire   []string `json:"wire,omitempty"`
-	Window []int    `json:"window,omitempty"`
+	// Window is a live-mode axis: the requested in-flight pipeline depth
+	// (default [1]). Refused in inproc mode.
+	Window []int `json:"window,omitempty"`
 }
 
 func (s *Spec) withDefaults() {
@@ -186,13 +184,8 @@ func (s *Spec) withDefaults() {
 	if s.Mode == "" {
 		s.Mode = "inproc"
 	}
-	if s.Mode == "live" {
-		if len(s.Wire) == 0 {
-			s.Wire = []string{"auto"}
-		}
-		if len(s.Window) == 0 {
-			s.Window = []int{1}
-		}
+	if s.Mode == "live" && len(s.Window) == 0 {
+		s.Window = []int{1}
 	}
 }
 
@@ -207,10 +200,9 @@ type Cell struct {
 	K         int
 	Rebalance string
 	CapMode   string
-	// Live, Wire, and Window are the transport coordinates; Wire and
-	// Window are meaningful only when Live.
+	// Live and Window are the transport coordinates; Window is
+	// meaningful only when Live.
 	Live   bool
-	Wire   string
 	Window int
 }
 
@@ -252,7 +244,7 @@ func LoadSpec(path string) (*Spec, error) {
 }
 
 // Cells expands the matrix into its cross product, in a fixed order
-// (workloads × shards × k × rebalance × cap modes × wire × window), and
+// (workloads × shards × k × rebalance × cap modes × window), and
 // refuses combinations the serving stack refuses (a threshold cell needs
 // shards > 1 to have neighbors and k > 1 to have a donor).
 func (s *Spec) Cells() ([]Cell, error) {
@@ -262,17 +254,14 @@ func (s *Spec) Cells() ([]Cell, error) {
 	}
 	switch s.Mode {
 	case "inproc":
-		if len(s.Wire) > 0 || len(s.Window) > 0 {
-			return nil, fmt.Errorf("lab: wire/window axes require mode \"live\"")
+		if len(s.Window) > 0 {
+			return nil, fmt.Errorf("lab: window axis requires mode \"live\"")
 		}
 	case "live":
 	default:
 		return nil, fmt.Errorf("lab: unknown mode %q (inproc|live)", s.Mode)
 	}
-	wires, windows := s.Wire, s.Window
-	if len(wires) == 0 {
-		wires = []string{""}
-	}
+	windows := s.Window
 	if len(windows) == 0 {
 		windows = []int{0}
 	}
@@ -303,31 +292,21 @@ func (s *Spec) Cells() ([]Cell, error) {
 						if cap != "strict" && cap != "clamp" {
 							return nil, fmt.Errorf("lab: unknown cap mode %q (strict|clamp)", cap)
 						}
-						for _, wr := range wires {
-							if s.Mode == "live" {
-								switch wr {
-								case "auto", "binary", "ndjson":
-								default:
-									return nil, fmt.Errorf("lab: unknown wire policy %q (auto|binary|ndjson)", wr)
-								}
+						for _, win := range windows {
+							if s.Mode == "live" && win < 1 {
+								return nil, fmt.Errorf("lab: window value %d, need >= 1", win)
 							}
-							for _, win := range windows {
-								if s.Mode == "live" && win < 1 {
-									return nil, fmt.Errorf("lab: window value %d, need >= 1", win)
-								}
-								c := Cell{
-									Workload:  w,
-									Shards:    shards,
-									K:         k,
-									Rebalance: reb,
-									CapMode:   cap,
-									Live:      s.Mode == "live",
-									Wire:      wr,
-									Window:    win,
-								}
-								c.Name = cellName(c)
-								cells = append(cells, c)
+							c := Cell{
+								Workload:  w,
+								Shards:    shards,
+								K:         k,
+								Rebalance: reb,
+								CapMode:   cap,
+								Live:      s.Mode == "live",
+								Window:    win,
 							}
+							c.Name = cellName(c)
+							cells = append(cells, c)
 						}
 					}
 				}
@@ -348,7 +327,7 @@ func (s *Spec) Cells() ([]Cell, error) {
 func cellName(c Cell) string {
 	name := fmt.Sprintf("%s_s%d_k%d_%s_%s", c.Workload.Label(), c.Shards, c.K, c.Rebalance, c.CapMode)
 	if c.Live {
-		name += fmt.Sprintf("_%s_w%d", c.Wire, c.Window)
+		name += fmt.Sprintf("_w%d", c.Window)
 	}
 	return name
 }

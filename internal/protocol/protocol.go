@@ -1,7 +1,7 @@
 // Package protocol is the transport-neutral serving core: it owns a
 // session-shaped Backend — a single engine.Session or a shard.Router — and
 // turns it into a Service that any transport adapter (the HTTP mux and the
-// NDJSON streaming transport in internal/server, tests driving it
+// binary streaming transport in internal/server, tests driving it
 // directly) can expose without re-implementing serving semantics.
 //
 // The Service owns everything that used to live inside the HTTP server:

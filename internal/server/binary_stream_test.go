@@ -2,55 +2,17 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/wire"
 )
 
-// helloWire performs the handshake asking for a wire encoding and returns
-// the welcome. The handshake itself is always NDJSON — the encoding only
-// switches after the welcome confirms it.
-func (c *streamConn) helloWire(dim int, wireOpt string) wire.WelcomeFrame {
-	c.t.Helper()
-	c.send(wire.HelloFrame{V: wire.V1, Type: wire.FrameHello, Dim: dim, Wire: wireOpt})
-	var w wire.WelcomeFrame
-	c.recv(wire.FrameWelcome, &w)
-	return w
-}
-
-// sendBinary writes one framed binary payload on the raw connection.
-func (c *streamConn) sendBinary(tag byte, payload []byte) {
-	c.t.Helper()
-	bw := bufio.NewWriter(c.conn)
-	if err := wire.WriteBinaryFrame(bw, tag, payload); err != nil {
-		c.t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		c.t.Fatal(err)
-	}
-}
-
-// recvBinary reads the next binary frame and checks its tag.
-func (c *streamConn) recvBinary(wantTag byte) []byte {
-	c.t.Helper()
-	var buf []byte
-	tag, payload, err := wire.ReadBinaryFrame(c.br, &buf, wire.DefaultMaxFrame)
-	if err != nil {
-		c.t.Fatalf("reading binary frame: %v", err)
-	}
-	if tag != wantTag {
-		c.t.Fatalf("got binary tag 0x%02x, want 0x%02x", tag, wantTag)
-	}
-	return payload
-}
-
-func newStreamServer(t *testing.T, wirePolicy string) (*Server, *httptest.Server) {
+func newStreamServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := testConfig(1)
 	s, err := New(cfg, []geom.Point{geom.NewPoint(0, 0)}, core.Fleet(core.NewMtC()), Options{
@@ -59,36 +21,30 @@ func newStreamServer(t *testing.T, wirePolicy string) (*Server, *httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetStreamWire(wirePolicy)
 	t.Cleanup(func() { s.Close() })
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
 
-// TestStreamBinaryNegotiation pins the upgrade: a hello asking for binary
-// is confirmed by a welcome carrying wire:"binary", after which steps,
-// acks, pings, pongs, and byes all travel as binary frames, with ack
-// values identical to what the NDJSON encoding would carry.
+// TestStreamBinaryNegotiation pins the handshake and the frame grammar
+// end to end: a binary hello is answered by a binary welcome, after which
+// steps, acks, pings, pongs, and byes all travel as binary frames.
 func TestStreamBinaryNegotiation(t *testing.T) {
-	_, ts := newStreamServer(t, "")
+	_, ts := newStreamServer(t)
 	c := dialStream(t, ts)
-	w := c.helloWire(2, wire.WireBinary)
-	if w.Wire != wire.WireBinary {
-		t.Fatalf("welcome wire = %q, want %q", w.Wire, wire.WireBinary)
+	if w := c.hello(2); w.Algorithm == "" || w.Dim != 2 || w.T != 0 {
+		t.Fatalf("welcome = %+v", w)
 	}
 
 	const frames = 20
 	for id := int64(1); id <= frames; id++ {
-		c.sendBinary(wire.BinStep, wire.AppendStepFrom(nil, wire.V1, id, reqsFor(int(id), 2)))
+		c.step(id, reqsFor(int(id), 2))
 	}
 	accepted := 0
 	var ack wire.AckFrame
 	for id := int64(1); id <= frames; id++ {
-		payload := c.recvBinary(wire.BinAck)
-		if err := wire.DecodeAck(payload, &ack); err != nil {
-			t.Fatal(err)
-		}
+		c.recv(&ack)
 		if ack.ID != id {
 			t.Fatalf("ack order broken: got id %d, want %d", ack.ID, id)
 		}
@@ -101,150 +57,87 @@ func TestStreamBinaryNegotiation(t *testing.T) {
 		t.Fatalf("accepted %d requests, want %d", accepted, frames*2)
 	}
 
-	// Control frames follow the negotiated encoding too.
-	c.sendBinary(wire.BinPing, wire.AppendControl(nil, wire.V1))
-	if _, err := wire.DecodeControl(c.recvBinary(wire.BinPong)); err != nil {
+	c.send(wire.PingFrame{V: wire.V1, Type: wire.FramePing})
+	var pong wire.PongFrame
+	c.recv(&pong)
+	if pong.V != wire.V1 {
+		t.Fatalf("pong v = %d", pong.V)
+	}
+	c.send(wire.ByeFrame{V: wire.V1, Type: wire.FrameBye})
+	if _, err := c.br.ReadByte(); err == nil {
+		t.Fatal("server must close the stream after a bye")
+	}
+}
+
+// TestStreamRefusesNDJSONHello pins the compatibility policy: a peer
+// whose first frame is not a binary hello — here the legacy JSON hello
+// line — gets a connection-level bad_frame error frame, in binary, and
+// the server closes the connection instead of waiting for more bytes.
+func TestStreamRefusesNDJSONHello(t *testing.T) {
+	_, ts := newStreamServer(t)
+	c := dialStream(t, ts)
+	if _, err := c.conn.Write([]byte(`{"v":1,"type":"hello"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	c.sendBinary(wire.BinBye, wire.AppendControl(nil, wire.V1))
-}
-
-// TestStreamBinaryDeclined pins the policy knob: a server pinned to
-// NDJSON answers a binary request with an unconfirmed welcome and the
-// stream stays NDJSON — the client's ask is an offer, not a demand.
-func TestStreamBinaryDeclined(t *testing.T) {
-	_, ts := newStreamServer(t, wire.WireNDJSON)
-	c := dialStream(t, ts)
-	w := c.helloWire(2, wire.WireBinary)
-	if w.Wire != "" {
-		t.Fatalf("pinned server confirmed wire %q", w.Wire)
-	}
-	c.step(1, reqsFor(1, 2))
-	var ack wire.AckFrame
-	c.recv(wire.FrameAck, &ack)
-	if ack.ID != 1 || ack.Accepted != 2 {
-		t.Fatalf("NDJSON fallback ack = %+v", ack)
-	}
-}
-
-// TestStreamPlainHelloStaysNDJSON pins backward compatibility: a hello
-// without the wire field — every pre-binary client — never sees a
-// confirmed encoding or a binary byte.
-func TestStreamPlainHelloStaysNDJSON(t *testing.T) {
-	_, ts := newStreamServer(t, "")
-	c := dialStream(t, ts)
-	w := c.hello(2)
-	if w.Wire != "" {
-		t.Fatalf("plain hello got wire %q confirmed", w.Wire)
-	}
-	c.step(1, reqsFor(1, 2))
-	var ack wire.AckFrame
-	c.recv(wire.FrameAck, &ack)
-	if ack.ID != 1 {
-		t.Fatalf("ack = %+v", ack)
-	}
-}
-
-// TestStreamUnknownWireRejected pins strictness at the negotiation point:
-// an unknown wire value is a protocol error (bad_request), not something
-// to silently fall back from — a client that sends it would otherwise
-// misinterpret every following byte.
-func TestStreamUnknownWireRejected(t *testing.T) {
-	_, ts := newStreamServer(t, "")
-	c := dialStream(t, ts)
-	c.send(wire.HelloFrame{V: wire.V1, Type: wire.FrameHello, Dim: 2, Wire: "gzip"})
+	_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var ef wire.ErrorFrame
-	c.recv(wire.FrameError, &ef)
-	if ef.Err.Code != wire.CodeBadRequest {
-		t.Fatalf("error code = %q, want %q", ef.Err.Code, wire.CodeBadRequest)
+	c.recv(&ef)
+	if ef.Err.Code != wire.CodeBadFrame || ef.ID != nil {
+		t.Fatalf("refusal = %+v, want a connection-level %q", ef, wire.CodeBadFrame)
+	}
+	if _, err := c.br.ReadByte(); err == nil {
+		t.Fatal("server must close the stream after refusing the hello")
 	}
 }
 
-// TestStreamBinaryBadPointsKeepsStream pins per-frame error semantics
-// under the binary encoding: a step whose points have the wrong dimension
-// is answered with an error frame carrying its id, and the stream keeps
-// serving subsequent frames.
+// TestStreamStrictControlFrames pins that control frames are decoded as
+// strictly as steps: a bye with trailing bytes is a bad_frame and a ping
+// stamped with an unknown version is a bad_version, each fatal.
+func TestStreamStrictControlFrames(t *testing.T) {
+	_, ts := newStreamServer(t)
+	for _, tc := range []struct {
+		name    string
+		tag     byte
+		payload []byte
+		code    string
+	}{
+		{"bye-trailing-bytes", wire.BinBye, append(wire.AppendControl(nil, wire.V1), 0), wire.CodeBadFrame},
+		{"ping-v2", wire.BinPing, wire.AppendControl(nil, 2), wire.CodeBadVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := dialStream(t, ts)
+			c.hello(2)
+			c.sendBinary(tc.tag, tc.payload)
+			var ef wire.ErrorFrame
+			c.recv(&ef)
+			if ef.Err.Code != tc.code || ef.ID != nil {
+				t.Fatalf("error frame = %+v, want a connection-level %q", ef, tc.code)
+			}
+			if _, err := c.br.ReadByte(); err == nil {
+				t.Fatal("server must close the stream after a malformed control frame")
+			}
+		})
+	}
+}
+
+// TestStreamBinaryBadPointsKeepsStream pins per-frame error semantics: a
+// step whose points have the wrong dimension is answered with an error
+// frame carrying its id, and the stream keeps serving subsequent frames.
 func TestStreamBinaryBadPointsKeepsStream(t *testing.T) {
-	_, ts := newStreamServer(t, "")
+	_, ts := newStreamServer(t)
 	c := dialStream(t, ts)
-	if w := c.helloWire(2, wire.WireBinary); w.Wire != wire.WireBinary {
-		t.Fatalf("welcome wire = %q", w.Wire)
-	}
-	c.sendBinary(wire.BinStep, wire.AppendStepFrom(nil, wire.V1, 1, []wire.Point{{1, 2, 3}}))
+	c.hello(2)
+	c.step(1, []wire.Point{{1, 2, 3}})
 	var ef wire.ErrorFrame
-	if err := wire.DecodeErrorFrame(c.recvBinary(wire.BinError), &ef); err != nil {
-		t.Fatal(err)
-	}
+	c.recv(&ef)
 	if ef.Err.Code != wire.CodeBadRequest || ef.ID == nil || *ef.ID != 1 {
 		t.Fatalf("error frame = %+v", ef)
 	}
-	c.sendBinary(wire.BinStep, wire.AppendStepFrom(nil, wire.V1, 2, reqsFor(2, 2)))
+	c.step(2, reqsFor(2, 2))
 	var ack wire.AckFrame
-	if err := wire.DecodeAck(c.recvBinary(wire.BinAck), &ack); err != nil {
-		t.Fatal(err)
-	}
+	c.recv(&ack)
 	if ack.ID != 2 {
 		t.Fatalf("stream did not continue past the bad frame: ack %+v", ack)
-	}
-}
-
-// rawGet fetches a URL and returns the exact response bytes.
-func rawGet(t *testing.T, url string) []byte {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, data)
-	}
-	return data
-}
-
-// TestStreamBinaryMetricsMatchNDJSON is the transport-equivalence
-// differential: the same workload driven in lockstep over a binary
-// stream and an NDJSON stream leaves byte-identical /metrics and /state
-// documents. The encodings may differ on the wire; the engine must not
-// be able to tell.
-func TestStreamBinaryMetricsMatchNDJSON(t *testing.T) {
-	const steps = 30
-	_, tsBin := newStreamServer(t, "")
-	_, tsJSON := newStreamServer(t, wire.WireNDJSON)
-
-	cb := dialStream(t, tsBin)
-	if w := cb.helloWire(2, wire.WireBinary); w.Wire != wire.WireBinary {
-		t.Fatalf("binary server welcome wire = %q", w.Wire)
-	}
-	cj := dialStream(t, tsJSON)
-	if w := cj.helloWire(2, wire.WireBinary); w.Wire != "" {
-		t.Fatalf("NDJSON server welcome wire = %q", w.Wire)
-	}
-
-	// Lockstep: wait for each ack before the next frame, so both runs
-	// execute the identical step sequence regardless of coalescing.
-	var bAck, jAck wire.AckFrame
-	for id := int64(1); id <= steps; id++ {
-		reqs := reqsFor(int(id), 3)
-		cb.sendBinary(wire.BinStep, wire.AppendStepFrom(nil, wire.V1, id, reqs))
-		if err := wire.DecodeAck(cb.recvBinary(wire.BinAck), &bAck); err != nil {
-			t.Fatal(err)
-		}
-		cj.step(id, reqs)
-		cj.recv(wire.FrameAck, &jAck)
-		if bAck.T != jAck.T || bAck.Cost != jAck.Cost || bAck.Accepted != jAck.Accepted {
-			t.Fatalf("step %d: binary ack %+v != NDJSON ack %+v", id, bAck, jAck)
-		}
-	}
-
-	for _, path := range []string{"/metrics", "/state"} {
-		if b, j := rawGet(t, tsBin.URL+path), rawGet(t, tsJSON.URL+path); !bytes.Equal(b, j) {
-			t.Errorf("%s diverged between encodings:\n binary %s\n ndjson %s", path, b, j)
-		}
 	}
 }
 
@@ -268,7 +161,7 @@ func TestStreamServerZeroAlloc(t *testing.T) {
 	}
 	defer s.Close()
 
-	c := &srvStream{srv: s, bw: bufio.NewWriterSize(io.Discard, 1<<16), binary: true}
+	c := &srvStream{srv: s, bw: bufio.NewWriterSize(io.Discard, 1<<16)}
 	// A batch of 8 non-collinear requests: the pooled Weiszfeld path (the
 	// n==3 closed form still allocates and is documented as such).
 	reqs := reqsFor(1, 8)

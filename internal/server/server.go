@@ -10,7 +10,7 @@
 //     outcome, a full queue answers 429 + Retry-After, GET /metrics,
 //     GET /state, and GET /snapshot serve the live snapshots;
 //   - the persistent streaming API: POST /stream upgrades the connection
-//     to pipelined NDJSON frames (see stream.go) so one client can submit
+//     to pipelined binary frames (see stream.go) so one client can submit
 //     step batches without per-request HTTP overhead, and
 //     GET /metrics/stream pushes one server-sent event per executed step.
 //
@@ -48,23 +48,6 @@ const DefaultQueueLimit = protocol.DefaultQueueLimit
 type Server struct {
 	cfg core.Config
 	svc *protocol.Service
-	// wirePolicy is the stream-encoding policy: "" or wire.WireBinary
-	// grants a hello's binary request, wire.WireNDJSON pins the stream to
-	// NDJSON. Plain hellos always get NDJSON either way.
-	wirePolicy string
-}
-
-// SetStreamWire sets the stream-encoding policy: wire.WireBinary (or "")
-// accepts binary when a hello asks for it, wire.WireNDJSON refuses and
-// keeps every stream on NDJSON. Call before serving traffic.
-func (s *Server) SetStreamWire(policy string) { s.wirePolicy = policy }
-
-// streamWire reports the effective stream-encoding policy.
-func (s *Server) streamWire() string {
-	if s.wirePolicy == "" {
-		return wire.WireBinary
-	}
-	return s.wirePolicy
 }
 
 // New starts a server around a fresh session.
@@ -154,9 +137,9 @@ func (s *Server) HandlerWith(stream bool) http.Handler {
 	return mux
 }
 
-// maxBodyBytes bounds a POST /step body (and one NDJSON frame); a batch
-// larger than this is a client error, not a reason to exhaust server
-// memory.
+// maxBodyBytes bounds a POST /step body; a batch larger than this is a
+// client error, not a reason to exhaust server memory. (Stream frames are
+// bounded by wire.DefaultMaxFrame.)
 const maxBodyBytes = 8 << 20
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {

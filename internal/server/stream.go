@@ -3,21 +3,20 @@
 // both directions, so one client can pipeline step batches without
 // per-request HTTP overhead.
 //
-// Protocol, from the client's side:
+// Protocol, from the client's side (every frame after the HTTP response
+// head is a binary frame of package wire; there is no other encoding):
 //
 //  1. POST /stream, then read the HTTP response head (200 with
-//     Content-Type application/x-ndjson); the connection is now a frame
-//     stream.
-//  2. Send {"v":1,"type":"hello"} (optionally with "dim", and optionally
-//     with "wire":"binary" to ask for the length-prefixed binary frame
-//     encoding); the server answers a welcome frame carrying the
-//     algorithm, the session's current step count t, the dimension, and —
-//     when it grants the request — the confirmed "wire" encoding. The
-//     handshake itself is always NDJSON; servers that predate the "wire"
-//     field reject the hello strictly (bad_frame), which a client treats
-//     as "speak NDJSON" by re-dialing a plain hello.
-//  3. Pipeline step frames without waiting (NDJSON objects or binary
-//     frames, per the negotiated encoding). The server answers every
+//     Content-Type application/octet-stream); the connection is now a
+//     frame stream.
+//  2. Send a hello frame (optionally with the dimension to confirm and a
+//     pipeline window to ask for); the server answers a welcome frame
+//     carrying the algorithm, the session's current step count t, the
+//     dimension, and the granted window. A first frame that is not a
+//     valid v1 hello — a legacy JSON line included — gets a
+//     connection-level error frame (bad_frame or bad_version) and the
+//     connection closes.
+//  3. Pipeline step frames without waiting. The server answers every
 //     frame IN SUBMISSION ORDER with an ack (the step outcome), a
 //     throttle (typed backpressure: the batch was not enqueued, resend
 //     the same id after retry_after_ms), or an error frame carrying that
@@ -38,18 +37,15 @@
 // request buffer belongs to the service from Enqueue until the step's
 // outcome is delivered (the engine and its observers must not retain it
 // past the Step call), then returns to the pool; a pooled ack position
-// buffer belongs to the writer until Ack.Release. On the binary encoding
-// the whole steady-state loop — socket to engine.Session.Step to ack
-// bytes — runs at 0 allocs/op.
+// buffer belongs to the writer until Ack.Release. The whole steady-state
+// loop — socket to engine.Session.Step to ack bytes — runs at
+// 0 allocs/op.
 
 package server
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -96,14 +92,12 @@ func (b *stepBuf) geomView() []geom.Point {
 	return b.reqs
 }
 
-// streamConn bundles the per-connection state of one hijacked stream.
+// srvStream bundles the per-connection state of one hijacked stream.
 type srvStream struct {
-	srv     *Server
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	lineBuf []byte // NDJSON read buffer, reused across lines
-	binBuf  []byte // binary frame read buffer, reused across frames
-	binary  bool
+	srv    *Server
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	binBuf []byte // frame read buffer, reused across frames
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -121,7 +115,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// read/write deadlines inherited from the HTTP layer.
 	_ = conn.SetDeadline(time.Time{})
 
-	if _, err := bufrw.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"); err != nil {
+	if _, err := bufrw.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nConnection: close\r\n\r\n"); err != nil {
 		return
 	}
 	if err := bufrw.Flush(); err != nil {
@@ -150,70 +144,48 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	<-writerDone
 }
 
-// writeJSONFrame marshals one NDJSON frame without flushing.
-func (c *srvStream) writeJSONFrame(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(data); err != nil {
-		return err
-	}
-	return c.bw.WriteByte('\n')
-}
-
-// writeHandshakeFrame writes one NDJSON frame and flushes (the handshake
-// is request/response, not pipelined).
-func (c *srvStream) writeHandshakeFrame(v any) error {
-	if err := c.writeJSONFrame(v); err != nil {
+// writeHandshakeFrame writes one frame and flushes (the handshake is
+// request/response, not pipelined).
+func (c *srvStream) writeHandshakeFrame(frame any) error {
+	var payload []byte
+	if err := c.writeControl(frame, &payload); err != nil {
 		return err
 	}
 	return c.bw.Flush()
 }
 
-// handshake consumes the NDJSON hello frame, negotiates the frame
-// encoding, and answers welcome (or a fatal error frame). It reports
-// whether the stream may proceed; on success c.binary holds the
-// negotiated encoding.
+// handshake consumes the hello frame and answers welcome (or a fatal error
+// frame). It reports whether the stream may proceed.
 func (c *srvStream) handshake() bool {
 	s := c.srv
-	line, ok := c.nextLine()
-	if !ok {
-		return false
-	}
-	head, err := wire.PeekFrame(line)
+	// Check the tag before trusting the length that follows it: a peer
+	// speaking anything else (a JSON line, say) is refused at once instead
+	// of being waited on for a payload it will never send.
+	head, err := c.br.Peek(1)
 	if err != nil {
-		_ = c.writeHandshakeFrame(fatalError(wire.CodeBadFrame, err.Error()))
 		return false
 	}
-	if err := wire.CheckVersion(head.V); err != nil {
-		_ = c.writeHandshakeFrame(fatalError(wire.CodeBadVersion, err.Error()))
-		return false
-	}
-	if head.Type != wire.FrameHello {
-		_ = c.writeHandshakeFrame(fatalError(wire.CodeBadFrame, "first frame must be hello, got "+head.Type))
+	if head[0] != wire.BinHello {
+		_ = c.writeHandshakeFrame(fatalError(wire.CodeBadFrame,
+			"first frame must be a binary hello, got tag 0x"+strconv.FormatUint(uint64(head[0]), 16)))
 		return false
 	}
 	var hello wire.HelloFrame
-	if err := wire.UnmarshalStrict(line, &hello); err != nil {
+	_, payload, err := wire.ReadBinaryFrame(c.br, &c.binBuf, wire.DefaultMaxFrame)
+	if err == nil {
+		err = wire.DecodeHello(payload, &hello)
+	}
+	if err != nil {
 		_ = c.writeHandshakeFrame(fatalError(wire.CodeBadFrame, "bad hello: "+err.Error()))
+		return false
+	}
+	if err := wire.CheckVersion(hello.V); err != nil {
+		_ = c.writeHandshakeFrame(fatalError(wire.CodeBadVersion, err.Error()))
 		return false
 	}
 	if hello.Dim != 0 && hello.Dim != s.cfg.Dim {
 		_ = c.writeHandshakeFrame(fatalError(wire.CodeBadRequest,
 			"session dimension is "+strconv.Itoa(s.cfg.Dim)+", hello asked for "+strconv.Itoa(hello.Dim)))
-		return false
-	}
-	switch hello.Wire {
-	case "", wire.WireNDJSON:
-		// The default encoding; nothing to confirm.
-	case wire.WireBinary:
-		// Grant binary unless this server is pinned to NDJSON; an
-		// unconfirmed request simply stays on NDJSON (the client reads
-		// the welcome's wire field, not its own preference).
-		c.binary = s.streamWire() != wire.WireNDJSON
-	default:
-		_ = c.writeHandshakeFrame(fatalError(wire.CodeBadRequest, "unknown wire encoding "+strconv.Quote(hello.Wire)))
 		return false
 	}
 	welcome := wire.WelcomeFrame{
@@ -222,9 +194,6 @@ func (c *srvStream) handshake() bool {
 		Algorithm: s.svc.Algorithm(),
 		T:         s.svc.T(),
 		Dim:       s.cfg.Dim,
-	}
-	if c.binary {
-		welcome.Wire = wire.WireBinary
 	}
 	// Re-serve the last executed step's outcome, so a reconnecting
 	// pipeliner whose final ack was lost in flight recovers it instead of
@@ -263,11 +232,11 @@ func (c *srvStream) handshake() bool {
 	return c.writeHandshakeFrame(welcome) == nil
 }
 
-// readLoop is the producer/decoder stage: it reads frames in the
-// negotiated encoding, decodes each step into a pooled request buffer,
-// and turns every frame into an ordered reply item — an enqueued pending
-// step, a throttle, a pong, or an error. It returns on bye, on a fatal
-// protocol violation, or when the connection dies.
+// readLoop is the producer/decoder stage: it reads frames, decodes each
+// step into a pooled request buffer, and turns every frame into an
+// ordered reply item — an enqueued pending step, a throttle, a pong, or
+// an error. It returns on bye, on a fatal protocol violation, or when the
+// connection dies.
 func (c *srvStream) readLoop(replies chan<- replyItem) {
 	for {
 		buf := stepBufPool.Get().(*stepBuf)
@@ -329,71 +298,50 @@ const (
 	readBadFrame
 )
 
-// readStep reads one frame in the negotiated encoding. For a step frame
-// it decodes into buf and returns its id; for control frames it returns
-// the kind; for protocol violations it returns the fatal error frame to
-// send before closing.
+// readStep reads one frame. For a step frame it decodes into buf and
+// returns its id; for control frames it returns the kind; for protocol
+// violations it returns the fatal error frame to send before closing.
+// Every frame is decoded strictly and version-checked, control frames
+// included.
 func (c *srvStream) readStep(buf *stepBuf) (int64, readKind, any) {
-	if c.binary {
-		tag, payload, err := wire.ReadBinaryFrame(c.br, &c.binBuf, maxBodyBytes)
-		if err != nil {
-			return 0, readEOF, nil
-		}
-		switch tag {
-		case wire.BinStep:
-			if err := wire.DecodeStep(payload, &buf.frame); err != nil {
-				return 0, readBadFrame, fatalError(wire.CodeBadFrame, "bad step frame: "+err.Error())
-			}
-			if err := wire.CheckVersion(buf.frame.V); err != nil {
-				return 0, readBadFrame, fatalError(wire.CodeBadVersion, err.Error())
-			}
-			return buf.frame.ID, readStepFrame, nil
-		case wire.BinPing:
-			if _, err := wire.DecodeControl(payload); err != nil {
-				return 0, readBadFrame, fatalError(wire.CodeBadFrame, "bad ping frame: "+err.Error())
-			}
-			return 0, readPing, nil
-		case wire.BinBye:
-			return 0, readBye, nil
-		default:
-			return 0, readBadFrame, fatalError(wire.CodeBadFrame, "unexpected binary frame 0x"+strconv.FormatUint(uint64(tag), 16))
-		}
-	}
-
-	line, ok := c.nextLine()
-	if !ok {
+	tag, payload, err := wire.ReadBinaryFrame(c.br, &c.binBuf, wire.DefaultMaxFrame)
+	if err != nil {
 		return 0, readEOF, nil
 	}
-	head, err := wire.PeekFrame(line)
-	if err != nil {
-		return 0, readBadFrame, fatalError(wire.CodeBadFrame, err.Error())
-	}
-	if err := wire.CheckVersion(head.V); err != nil {
-		return 0, readBadFrame, fatalError(wire.CodeBadVersion, err.Error())
-	}
-	switch head.Type {
-	case wire.FrameStep:
-		buf.frame = wire.StepFrame{}
-		if err := wire.UnmarshalStrict(line, &buf.frame); err != nil {
+	switch tag {
+	case wire.BinStep:
+		if err := wire.DecodeStep(payload, &buf.frame); err != nil {
 			return 0, readBadFrame, fatalError(wire.CodeBadFrame, "bad step frame: "+err.Error())
 		}
+		if err := wire.CheckVersion(buf.frame.V); err != nil {
+			return 0, readBadFrame, fatalError(wire.CodeBadVersion, err.Error())
+		}
 		return buf.frame.ID, readStepFrame, nil
-	case wire.FramePing:
-		return 0, readPing, nil
-	case wire.FrameBye:
-		return 0, readBye, nil
+	case wire.BinPing, wire.BinBye:
+		kind, name := readPing, wire.FramePing
+		if tag == wire.BinBye {
+			kind, name = readBye, wire.FrameBye
+		}
+		v, err := wire.DecodeControl(payload)
+		if err != nil {
+			return 0, readBadFrame, fatalError(wire.CodeBadFrame, "bad "+name+" frame: "+err.Error())
+		}
+		if err := wire.CheckVersion(v); err != nil {
+			return 0, readBadFrame, fatalError(wire.CodeBadVersion, err.Error())
+		}
+		return 0, kind, nil
 	default:
-		return 0, readBadFrame, fatalError(wire.CodeBadFrame, "unexpected frame type "+head.Type)
+		return 0, readBadFrame, fatalError(wire.CodeBadFrame, "unexpected frame tag 0x"+strconv.FormatUint(uint64(tag), 16))
 	}
 }
 
 // writeLoop is the consumer stage: it resolves each reply item in order,
-// emits the reply in the negotiated encoding, and recycles the request
-// and ack buffers. Flushes are coalesced: the buffered writer only
-// flushes when the reply queue is momentarily empty, so a pipelining
-// client amortizes syscalls across its in-flight window.
+// emits the reply, and recycles the request and ack buffers. Flushes are
+// coalesced: the buffered writer only flushes when the reply queue is
+// momentarily empty, so a pipelining client amortizes syscalls across
+// its in-flight window.
 func (c *srvStream) writeLoop(replies chan replyItem) {
-	var payload []byte            // binary ack scratch, reused per frame
+	var payload []byte            // reply payload scratch, reused per frame
 	var shardBuf []wire.ShardStep // shard conversion scratch, reused
 	dead := false
 	for it := range replies {
@@ -428,16 +376,12 @@ func (c *srvStream) writeLoop(replies chan replyItem) {
 	}
 }
 
-// writeAck emits one step outcome (ack or typed error) in the negotiated
-// encoding. On the binary path the ack is encoded straight from the
-// protocol layer's typed outcome into the reusable payload buffer — no
-// intermediate wire structs, no JSON.
+// writeAck emits one step outcome (ack or typed error). The ack is
+// encoded straight from the protocol layer's typed outcome into the
+// reusable payload buffer — no intermediate wire structs.
 func (c *srvStream) writeAck(id int64, ack protocol.Ack, err error, payload *[]byte, shardBuf *[]wire.ShardStep) error {
 	if err != nil {
 		return c.writeControl(streamError(id, err), payload)
-	}
-	if !c.binary {
-		return c.writeJSONFrame(wire.AckFrame{V: wire.V1, Type: wire.FrameAck, ID: id, StepResponse: ackResponse(ack)})
 	}
 	shards := (*shardBuf)[:0]
 	for i, st := range ack.Shards {
@@ -450,15 +394,15 @@ func (c *srvStream) writeAck(id int64, ack protocol.Ack, err error, payload *[]b
 	return wire.WriteBinaryFrame(c.bw, wire.BinAck, p)
 }
 
-// writeControl emits a non-ack reply frame (throttle, pong, error) in the
-// negotiated encoding.
+// writeControl emits a non-ack frame (welcome, throttle, pong, error)
+// without flushing.
 func (c *srvStream) writeControl(frame any, payload *[]byte) error {
-	if !c.binary {
-		return c.writeJSONFrame(frame)
-	}
 	p := (*payload)[:0]
 	var tag byte
 	switch f := frame.(type) {
+	case wire.WelcomeFrame:
+		tag = wire.BinWelcome
+		p = wire.AppendWelcome(p, &f)
 	case wire.ThrottleFrame:
 		tag = wire.BinThrottle
 		p = wire.AppendThrottle(p, &f)
@@ -473,58 +417,6 @@ func (c *srvStream) writeControl(frame any, payload *[]byte) error {
 	}
 	*payload = p
 	return wire.WriteBinaryFrame(c.bw, tag, p)
-}
-
-// nextLine returns the next non-empty NDJSON line, reusing the
-// connection's line buffer; false when the stream ended (EOF, connection
-// error, or an over-long line).
-func (c *srvStream) nextLine() ([]byte, bool) {
-	for {
-		line, err := readLine(c.br, &c.lineBuf, maxBodyBytes)
-		if err != nil {
-			return nil, false
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) > 0 {
-			return line, true
-		}
-	}
-}
-
-// readLine reads one newline-terminated line from br, reusing *buf across
-// calls and refusing lines longer than max. The returned slice aliases
-// *buf (or the reader's internal buffer) and is valid until the next call.
-func readLine(br *bufio.Reader, buf *[]byte, max int) ([]byte, error) {
-	chunk, err := br.ReadSlice('\n')
-	if err == nil {
-		if len(chunk) > max {
-			return nil, errors.New("server: stream line exceeds limit")
-		}
-		return chunk, nil // common case: whole line inside the reader buffer
-	}
-	if err == io.EOF && len(chunk) > 0 {
-		return chunk, nil // final unterminated line
-	}
-	if err != bufio.ErrBufferFull {
-		return nil, err
-	}
-	line := append((*buf)[:0], chunk...)
-	for err == bufio.ErrBufferFull {
-		chunk, err = br.ReadSlice('\n')
-		line = append(line, chunk...)
-		if len(line) > max {
-			*buf = line[:0]
-			return nil, errors.New("server: stream line exceeds limit")
-		}
-	}
-	*buf = line
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if len(line) == 0 {
-		return nil, io.EOF
-	}
-	return line, nil
 }
 
 // streamError maps a protocol-layer error for one step frame to its typed

@@ -19,12 +19,14 @@ import (
 	"repro/internal/wire"
 )
 
-// streamConn is a minimal NDJSON stream client for tests: it speaks the
-// POST /stream upgrade by hand so the tests exercise the real wire bytes.
+// streamConn is a minimal stream client for tests: it speaks the
+// POST /stream upgrade and the binary frames by hand so the tests
+// exercise the real wire bytes.
 type streamConn struct {
 	t    testing.TB
 	conn net.Conn
 	br   *bufio.Reader
+	buf  []byte // frame read buffer
 }
 
 func dialStream(t testing.TB, ts *httptest.Server) *streamConn {
@@ -58,34 +60,70 @@ func dialStream(t testing.TB, ts *httptest.Server) *streamConn {
 	return c
 }
 
-func (c *streamConn) send(v any) {
+// sendBinary writes one framed payload on the raw connection.
+func (c *streamConn) sendBinary(tag byte, payload []byte) {
 	c.t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
+	bw := bufio.NewWriter(c.conn)
+	if err := wire.WriteBinaryFrame(bw, tag, payload); err != nil {
 		c.t.Fatal(err)
 	}
-	if _, err := c.conn.Write(append(data, '\n')); err != nil {
+	if err := bw.Flush(); err != nil {
 		c.t.Fatal(err)
 	}
 }
 
-// recv reads the next frame line and strictly decodes it into v after
-// checking the envelope's type.
-func (c *streamConn) recv(wantType string, v any) {
+// send encodes and writes one client frame (hello, step, ping, or bye).
+func (c *streamConn) send(v any) {
 	c.t.Helper()
-	line, err := c.br.ReadBytes('\n')
+	switch f := v.(type) {
+	case wire.HelloFrame:
+		c.sendBinary(wire.BinHello, wire.AppendHello(nil, &f))
+	case wire.StepFrame:
+		c.sendBinary(wire.BinStep, wire.AppendStep(nil, &f))
+	case wire.PingFrame:
+		c.sendBinary(wire.BinPing, wire.AppendControl(nil, f.V))
+	case wire.ByeFrame:
+		c.sendBinary(wire.BinBye, wire.AppendControl(nil, f.V))
+	default:
+		c.t.Fatalf("send: no client frame %T", v)
+	}
+}
+
+// recvBinary reads the next frame and checks its tag.
+func (c *streamConn) recvBinary(wantTag byte) []byte {
+	c.t.Helper()
+	tag, payload, err := wire.ReadBinaryFrame(c.br, &c.buf, wire.DefaultMaxFrame)
 	if err != nil {
-		c.t.Fatalf("reading %s frame: %v", wantType, err)
+		c.t.Fatalf("reading frame: %v", err)
 	}
-	head, err := wire.PeekFrame(line)
+	if tag != wantTag {
+		c.t.Fatalf("got frame tag 0x%02x, want 0x%02x", tag, wantTag)
+	}
+	return payload
+}
+
+// recv reads the next frame and strictly decodes it into v, a pointer to
+// the server frame type it must be (welcome, ack, throttle, error, pong).
+func (c *streamConn) recv(v any) {
+	c.t.Helper()
+	var err error
+	switch f := v.(type) {
+	case *wire.WelcomeFrame:
+		err = wire.DecodeWelcome(c.recvBinary(wire.BinWelcome), f)
+	case *wire.AckFrame:
+		err = wire.DecodeAck(c.recvBinary(wire.BinAck), f)
+	case *wire.ThrottleFrame:
+		err = wire.DecodeThrottle(c.recvBinary(wire.BinThrottle), f)
+	case *wire.ErrorFrame:
+		err = wire.DecodeErrorFrame(c.recvBinary(wire.BinError), f)
+	case *wire.PongFrame:
+		f.Type = wire.FramePong
+		f.V, err = wire.DecodeControl(c.recvBinary(wire.BinPong))
+	default:
+		c.t.Fatalf("recv: no server frame %T", v)
+	}
 	if err != nil {
-		c.t.Fatalf("peek %q: %v", line, err)
-	}
-	if head.Type != wantType {
-		c.t.Fatalf("got %s frame, want %s: %s", head.Type, wantType, line)
-	}
-	if err := wire.UnmarshalStrict(line, v); err != nil {
-		c.t.Fatalf("decode %s: %v", line, err)
+		c.t.Fatalf("decode %T: %v", v, err)
 	}
 }
 
@@ -94,7 +132,7 @@ func (c *streamConn) hello(dim int) wire.WelcomeFrame {
 	c.t.Helper()
 	c.send(wire.HelloFrame{V: wire.V1, Type: wire.FrameHello, Dim: dim})
 	var w wire.WelcomeFrame
-	c.recv(wire.FrameWelcome, &w)
+	c.recv(&w)
 	if w.V != wire.V1 {
 		c.t.Fatalf("welcome v = %d", w.V)
 	}
@@ -139,7 +177,7 @@ func TestStreamPipeline(t *testing.T) {
 	lastT := -1
 	for id := int64(1); id <= frames; id++ {
 		var ack wire.AckFrame
-		c.recv(wire.FrameAck, &ack)
+		c.recv(&ack)
 		if ack.ID != id {
 			t.Fatalf("ack order broken: got id %d, want %d", ack.ID, id)
 		}
@@ -191,7 +229,7 @@ func TestStreamVersionMismatch(t *testing.T) {
 	c := dialStream(t, ts)
 	c.send(wire.HelloFrame{V: 99, Type: wire.FrameHello})
 	var e wire.ErrorFrame
-	c.recv(wire.FrameError, &e)
+	c.recv(&e)
 	if e.Err.Code != wire.CodeBadVersion {
 		t.Fatalf("error code = %q, want %q", e.Err.Code, wire.CodeBadVersion)
 	}
@@ -205,7 +243,7 @@ func TestStreamVersionMismatch(t *testing.T) {
 	// Wrong dimension in an otherwise valid hello is also fatal.
 	c2 := dialStream(t, ts)
 	c2.send(wire.HelloFrame{V: wire.V1, Type: wire.FrameHello, Dim: cfg.Dim + 1})
-	c2.recv(wire.FrameError, &e)
+	c2.recv(&e)
 	if e.Err.Code != wire.CodeBadRequest {
 		t.Fatalf("dim mismatch code = %q, want %q", e.Err.Code, wire.CodeBadRequest)
 	}
@@ -251,16 +289,16 @@ func TestStreamThrottleRoundTrip(t *testing.T) {
 		obs.release <- struct{}{}
 	}()
 	var ack wire.AckFrame
-	c.recv(wire.FrameAck, &ack)
+	c.recv(&ack)
 	if ack.ID != 1 || ack.T != 0 {
 		t.Fatalf("first ack = %+v", ack)
 	}
-	c.recv(wire.FrameAck, &ack)
+	c.recv(&ack)
 	if ack.ID != 2 || ack.T != 1 {
 		t.Fatalf("second ack = %+v", ack)
 	}
 	var th wire.ThrottleFrame
-	c.recv(wire.FrameThrottle, &th)
+	c.recv(&th)
 	if th.ID != 3 || th.RetryAfterMS < 1 {
 		t.Fatalf("throttle = %+v", th)
 	}
@@ -271,7 +309,7 @@ func TestStreamThrottleRoundTrip(t *testing.T) {
 		obs.release <- struct{}{}
 	}()
 	c.step(3, reqsFor(2, 1))
-	c.recv(wire.FrameAck, &ack)
+	c.recv(&ack)
 	if ack.ID != 3 || ack.T != 2 {
 		t.Fatalf("resent ack = %+v", ack)
 	}
@@ -336,7 +374,7 @@ func TestStreamDisconnectResume(t *testing.T) {
 	for id := int64(1); id <= before; id++ {
 		c1.step(id, reqsFor(int(id), 1))
 		var ack wire.AckFrame
-		c1.recv(wire.FrameAck, &ack)
+		c1.recv(&ack)
 		if ack.T != int(id-1) {
 			t.Fatalf("ack %d T = %d", id, ack.T)
 		}
@@ -360,7 +398,7 @@ func TestStreamDisconnectResume(t *testing.T) {
 	for i := 0; i < after; i++ {
 		c2.step(int64(100+i), reqsFor(100+i, 1))
 		var ack wire.AckFrame
-		c2.recv(wire.FrameAck, &ack)
+		c2.recv(&ack)
 		if ack.T != before+1+i {
 			t.Fatalf("post-resume ack T = %d, want %d", ack.T, before+1+i)
 		}
@@ -373,8 +411,8 @@ func TestStreamDisconnectResume(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsMalformedFrames: unknown fields and unknown types are
-// typed errors, not silent no-ops.
+// TestStreamRejectsMalformedFrames: undecodable frames and bad payloads
+// are typed errors, not silent no-ops.
 func TestStreamRejectsMalformedFrames(t *testing.T) {
 	cfg := testConfig(1)
 	s, err := New(cfg, []geom.Point{geom.NewPoint(0, 0)}, core.Fleet(core.NewMtC()), Options{})
@@ -385,17 +423,15 @@ func TestStreamRejectsMalformedFrames(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Misspelled field inside a step frame: fatal bad_frame (strict
+	// Trailing bytes after a step payload: fatal bad_frame (strict
 	// decoding cannot tell what the client meant).
 	c := dialStream(t, ts)
 	c.hello(0)
-	if _, err := c.conn.Write([]byte(`{"v":1,"type":"step","id":1,"reqeusts":[[1,2]]}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
+	c.sendBinary(wire.BinStep, append(wire.AppendStepFrom(nil, wire.V1, 1, reqsFor(0, 1)), 0))
 	var e wire.ErrorFrame
-	c.recv(wire.FrameError, &e)
+	c.recv(&e)
 	if e.Err.Code != wire.CodeBadFrame {
-		t.Fatalf("misspelled field code = %q, want %q", e.Err.Code, wire.CodeBadFrame)
+		t.Fatalf("trailing bytes code = %q, want %q", e.Err.Code, wire.CodeBadFrame)
 	}
 
 	// Bad payload (dimension mismatch) is per-frame: the identified frame
@@ -403,13 +439,13 @@ func TestStreamRejectsMalformedFrames(t *testing.T) {
 	c2 := dialStream(t, ts)
 	c2.hello(0)
 	c2.step(7, []wire.Point{{1, 2, 3}})
-	c2.recv(wire.FrameError, &e)
+	c2.recv(&e)
 	if e.Err.Code != wire.CodeBadRequest || e.ID == nil || *e.ID != 7 {
 		t.Fatalf("bad payload error = %+v", e)
 	}
 	c2.step(8, reqsFor(0, 1))
 	var ack wire.AckFrame
-	c2.recv(wire.FrameAck, &ack)
+	c2.recv(&ack)
 	if ack.ID != 8 || ack.T != 0 {
 		t.Fatalf("stream did not survive a per-frame rejection: %+v", ack)
 	}
@@ -443,7 +479,7 @@ func TestStreamShardedAcks(t *testing.T) {
 	}
 	for id := int64(1); id <= frames; id++ {
 		var ack wire.AckFrame
-		c.recv(wire.FrameAck, &ack)
+		c.recv(&ack)
 		if len(ack.Shards) != 3 {
 			t.Fatalf("ack %d carries %d shard payloads, want 3", id, len(ack.Shards))
 		}

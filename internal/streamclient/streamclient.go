@@ -1,10 +1,10 @@
 // Package streamclient is the reusable client side of the streaming
 // transport (POST /stream, package wire's frame grammar): dial with
-// capped-exponential-backoff retries, hello/welcome handshake with
-// version and frame-encoding negotiation, pipelined step frames answered
-// in order, automatic jittered resend on typed throttle frames, and a
-// heartbeat that declares a silent connection dead instead of hanging its
-// callers forever.
+// capped-exponential-backoff retries, the hello/welcome handshake
+// (version, dimension, and pipeline-window checks), pipelined binary step
+// frames answered in order, automatic jittered resend on typed throttle
+// frames, and a heartbeat that declares a silent connection dead instead
+// of hanging its callers forever.
 //
 // It exists so the cluster coordinator (internal/cluster) and the example
 // load generator (examples/client) share one tested implementation of the
@@ -18,10 +18,8 @@
 //	p.Release()               // recycle the pending + ack buffers
 //	c.Close()
 //
-// By default the client asks the server for the length-prefixed binary
-// frame encoding (wire.WireBinary) and falls back to NDJSON transparently
-// when the server is older or pinned; Options.Wire overrides. On the
-// binary encoding the steady-state loop — encode step, read ack — runs at
+// Every frame is a length-prefixed binary frame of package wire, from the
+// hello on. The steady-state loop — encode step, read ack — runs at
 // 0 allocs/op: Step retains the caller's batch until the ack (so
 // throttled frames can be resent) and Wait's ack aliases a pooled buffer
 // that Release recycles.
@@ -39,7 +37,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -53,30 +50,17 @@ import (
 	"repro/internal/wire"
 )
 
-// WireAuto asks the server for the binary encoding but accepts NDJSON
-// when the server is older or pinned — the default negotiation policy.
-const WireAuto = "auto"
-
 // Options configures a Dial. The zero value uses the defaults below and
 // disables the dimension check and the heartbeat.
 type Options struct {
 	// Dim, when nonzero, is sent in the hello so the server confirms the
 	// session dimension before any step is pipelined.
 	Dim int
-	// Wire selects the frame-encoding negotiation: WireAuto (the default)
-	// requests wire.WireBinary and falls back to NDJSON transparently —
-	// both when a current server declines and when an older server
-	// strict-rejects the unknown hello field; wire.WireBinary requires the
-	// binary encoding (Dial fails when the server does not grant it);
-	// wire.WireNDJSON never asks.
-	Wire string
 	// Window, when > 1, asks the server to accept that many pipelined step
 	// frames in flight with suffix-replay reconciliation after a reconnect
 	// (WelcomeFrame.Ring). The grant is whatever Welcome().Window reports —
-	// possibly smaller, or absent (lockstep) from a server that keeps no
-	// ack ring. A server so old it strict-rejects the unknown hello field
-	// gets the same transparent downgrade as the wire negotiation: Dial
-	// re-sends the hello without the field and runs lockstep.
+	// possibly smaller, or <= 1 (lockstep) from a server that keeps no ack
+	// ring.
 	Window int
 	// MaxAttempts bounds the connection attempts one Dial makes before
 	// giving up with *protocol.UnreachableError. Default DefaultMaxAttempts.
@@ -200,10 +184,9 @@ type Client struct {
 	opts    Options
 	conn    net.Conn
 	wmu     sync.Mutex // serializes frame writes (Step, resends, pings, bye)
-	payload []byte     // binary payload scratch, under wmu
-	frame   []byte     // binary tag|len|payload scratch, under wmu
+	payload []byte     // payload scratch, under wmu
+	frame   []byte     // tag|len|payload scratch, under wmu
 	welcome wire.WelcomeFrame
-	binary  bool
 
 	mu       sync.Mutex
 	pending  map[int64]*Pending
@@ -239,61 +222,28 @@ func Host(base string) (string, error) {
 
 // Dial connects to the streaming endpoint at path (usually "/stream") on
 // base (a URL or host:port), retrying transport failures under the
-// capped-backoff policy, and completes the hello/welcome handshake
-// (including the frame-encoding negotiation; see Options.Wire). A
-// handshake the server rejects with an error frame (bad_version, dimension
-// mismatch) fails immediately — the server is reachable and said no; only
-// transport failures are retried. When every attempt fails the returned
-// error is a *protocol.UnreachableError carrying the attempt count and the
-// last underlying error.
+// capped-backoff policy, and completes the hello/welcome handshake. A
+// handshake the server rejects with an error frame (bad_version,
+// bad_frame, dimension mismatch) fails immediately with that *wire.Error
+// — the server is reachable and said no; only transport failures are
+// retried. When every attempt fails the returned error is a
+// *protocol.UnreachableError carrying the attempt count and the last
+// underlying error.
 func Dial(base, path string, opts Options) (*Client, error) {
 	opts = opts.withDefaults()
 	host, err := Host(base)
 	if err != nil {
 		return nil, err
 	}
-	askWire := ""
-	switch opts.Wire {
-	case "", WireAuto, wire.WireBinary:
-		askWire = wire.WireBinary
-	case wire.WireNDJSON:
-	default:
-		return nil, fmt.Errorf("streamclient: unknown wire option %q", opts.Wire)
-	}
-	askWindow := 0
-	if opts.Window > 1 {
-		askWindow = opts.Window
-	}
 	var lastErr error
 	backoff := opts.BaseBackoff
 	for attempt := 1; ; attempt++ {
-		c, err := dialOnce(host, path, opts, askWire, askWindow)
+		c, err := dialOnce(host, path, opts)
 		if err == nil {
-			if opts.Wire == wire.WireBinary && !c.binary {
-				c.Close()
-				return nil, fmt.Errorf("streamclient: server did not grant the required binary encoding")
-			}
 			return c, nil
 		}
 		var we *wire.Error
 		if errors.As(err, &we) {
-			// A server that predates one of the optional hello fields
-			// strict-rejects it as a bad frame: fall back by dropping the
-			// newest field first — the window, then the wire ask (a
-			// protocol downgrade, not a transport failure). Any other
-			// rejection is permanent — the server spoke and said no.
-			if we.Code == wire.CodeBadFrame {
-				if askWindow != 0 {
-					askWindow = 0
-					attempt--
-					continue
-				}
-				if askWire != "" && opts.Wire != wire.WireBinary {
-					askWire = ""
-					attempt--
-					continue
-				}
-			}
 			return nil, err
 		}
 		lastErr = err
@@ -307,11 +257,10 @@ func Dial(base, path string, opts Options) (*Client, error) {
 	}
 }
 
-// dialOnce makes one connection attempt: TCP dial, HTTP upgrade, hello
-// (asking for askWire when nonempty), welcome. A server error frame during
-// the handshake comes back as a *wire.Error (wrapped), which Dial treats
-// as permanent (or as the fallback signal for the encoding downgrade).
-func dialOnce(host, path string, opts Options, askWire string, askWindow int) (*Client, error) {
+// dialOnce makes one connection attempt: TCP dial, HTTP upgrade, hello,
+// welcome. A server error frame during the handshake comes back as a
+// *wire.Error (wrapped), which Dial treats as permanent.
+func dialOnce(host, path string, opts Options) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", host, opts.HandshakeTimeout)
 	if err != nil {
 		return nil, err
@@ -352,23 +301,19 @@ func dialOnce(host, path string, opts Options, askWire string, askWindow int) (*
 		done:    make(chan struct{}),
 	}
 	c.pendPool.New = func() any { return &Pending{ch: make(chan stepResult, 1)} }
-	hello := wire.HelloFrame{V: wire.V1, Type: wire.FrameHello, Dim: opts.Dim, Wire: askWire, Window: askWindow}
-	if err := c.writeJSONLocked(hello); err != nil {
+	hello := wire.HelloFrame{V: wire.V1, Type: wire.FrameHello, Dim: opts.Dim}
+	if opts.Window > 1 {
+		hello.Window = opts.Window
+	}
+	c.payload = wire.AppendHello(c.payload, &hello)
+	if err := c.writeBinaryLocked(wire.BinHello, c.payload); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	line, err := readLine(br)
-	if err != nil {
+	if err := readWelcome(br, &c.welcome); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if err := decodeExpected(line, wire.FrameWelcome, &c.welcome); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	// The server confirms only encodings the hello asked for; everything
-	// after the welcome speaks the confirmed encoding in both directions.
-	c.binary = c.welcome.Wire == wire.WireBinary
 	_ = conn.SetDeadline(time.Time{})
 	c.lastRecv.Store(time.Now().UnixNano())
 	go c.readLoop(br)
@@ -380,19 +325,10 @@ func dialOnce(host, path string, opts Options, askWire string, askWindow int) (*
 
 // Welcome returns the handshake's welcome frame: the algorithm, the
 // session's current step count (the reconciliation anchor after a
-// reconnect), the dimension, the confirmed frame encoding, and — when the
-// session has executed any step — the last executed step's exact outcome
-// (Last).
+// reconnect), the dimension, the granted window, and — when the session
+// has executed any step — the last executed step's exact outcome (Last)
+// and the recent-steps ring.
 func (c *Client) Welcome() wire.WelcomeFrame { return c.welcome }
-
-// Wire reports the negotiated frame encoding: wire.WireBinary or
-// wire.WireNDJSON.
-func (c *Client) Wire() string {
-	if c.binary {
-		return wire.WireBinary
-	}
-	return wire.WireNDJSON
-}
 
 // Throttles counts the throttle frames the connection has absorbed (each
 // one resent automatically after the server's jittered backoff hint).
@@ -459,51 +395,32 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	_ = c.writeControl(wire.BinBye, wire.ByeFrame{V: wire.V1, Type: wire.FrameBye})
+	_ = c.writeControl(wire.BinBye)
 	c.fail(ErrClosed)
 	return nil
 }
 
-// writeStep encodes and writes one step frame in the negotiated encoding.
-// On the binary path the payload and frame scratch buffers are reused
-// under the write lock, so the steady-state write allocates nothing.
+// writeStep encodes and writes one step frame. The payload and frame
+// scratch buffers are reused under the write lock, so the steady-state
+// write allocates nothing.
 func (c *Client) writeStep(id int64, reqs []wire.Point) error {
-	if !c.binary {
-		return c.writeJSONLocked(wire.StepFrame{V: wire.V1, Type: wire.FrameStep, ID: id, Requests: reqs})
-	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.payload = wire.AppendStepFrom(c.payload[:0], wire.V1, id, reqs)
 	return c.writeBinaryLocked(wire.BinStep, c.payload)
 }
 
-// writeControl writes one control frame (ping, bye) in the negotiated
-// encoding; binTag is its binary tag, v its NDJSON form.
-func (c *Client) writeControl(binTag byte, v any) error {
-	if !c.binary {
-		return c.writeJSONLocked(v)
-	}
+// writeControl writes one control frame (ping or bye, by tag).
+func (c *Client) writeControl(tag byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.payload = wire.AppendControl(c.payload[:0], wire.V1)
-	return c.writeBinaryLocked(binTag, c.payload)
-}
-
-// writeJSONLocked marshals and writes one NDJSON frame under the write
-// lock (Step, throttle resends, pings, and bye share the socket).
-func (c *Client) writeJSONLocked(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	_, err = c.conn.Write(append(data, '\n'))
-	return err
+	return c.writeBinaryLocked(tag, c.payload)
 }
 
 // writeBinaryLocked assembles tag|uvarint(len)|payload into the frame
-// scratch and writes it in one call; the caller holds wmu.
+// scratch and writes it in one call; the caller holds wmu (or, during
+// the handshake, owns the not-yet-shared client).
 //
 //moblint:hotpath
 func (c *Client) writeBinaryLocked(tag byte, payload []byte) error {
@@ -574,70 +491,14 @@ func (c *Client) throttled(id int64, retryMS int) bool {
 	return true
 }
 
-// readLoop dispatches received frames in the negotiated encoding: every
-// frame stamps the liveness clock, acks and per-frame errors resolve
-// their Pending, throttles schedule a jittered resend, pongs are liveness
-// only, and a connection-level error frame (or a read error) kills the
-// connection.
+// readLoop dispatches received frames: every frame stamps the liveness
+// clock, acks and per-frame errors resolve their Pending, throttles
+// schedule a jittered resend, pongs are liveness only, and a
+// connection-level error frame (or a read error) kills the connection.
+// Acks decode straight into the waiting Pending's reusable frame
+// (BinaryAckID picks the target before the full decode), so the
+// steady-state receive allocates nothing.
 func (c *Client) readLoop(br *bufio.Reader) {
-	if c.binary {
-		c.readBinary(br)
-		return
-	}
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.lastRecv.Store(time.Now().UnixNano())
-		head, err := wire.PeekFrame(line)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		switch head.Type {
-		case wire.FrameAck:
-			var ack wire.AckFrame
-			if err := wire.UnmarshalStrict(line, &ack); err != nil {
-				c.fail(err)
-				return
-			}
-			if p := c.take(ack.ID); p != nil {
-				p.ack = ack
-				p.ch <- stepResult{}
-			}
-		case wire.FrameThrottle:
-			var th wire.ThrottleFrame
-			if err := wire.UnmarshalStrict(line, &th); err != nil {
-				c.fail(err)
-				return
-			}
-			if !c.throttled(th.ID, th.RetryAfterMS) {
-				return
-			}
-		case wire.FramePong:
-			// Liveness only; the lastRecv stamp above did the work.
-		case wire.FrameError:
-			var ef wire.ErrorFrame
-			if err := wire.UnmarshalStrict(line, &ef); err != nil {
-				c.fail(err)
-				return
-			}
-			if !c.errorFrame(ef) {
-				return
-			}
-		default:
-			c.fail(fmt.Errorf("streamclient: unexpected %s frame", head.Type))
-			return
-		}
-	}
-}
-
-// readBinary is readLoop on the binary encoding. Acks decode straight
-// into the waiting Pending's reusable frame (BinaryAckID picks the target
-// before the full decode), so the steady-state receive allocates nothing.
-func (c *Client) readBinary(br *bufio.Reader) {
 	var buf []byte
 	for {
 		tag, payload, err := wire.ReadBinaryFrame(br, &buf, wire.DefaultMaxFrame)
@@ -657,14 +518,14 @@ func (c *Client) readBinary(br *bufio.Reader) {
 			if p == nil {
 				continue
 			}
-			if err := wire.DecodeAck(payload, &p.ack); err != nil {
+			if err := versioned(wire.DecodeAck(payload, &p.ack), &p.ack.V); err != nil {
 				c.fail(err)
 				return
 			}
 			p.ch <- stepResult{}
 		case wire.BinThrottle:
 			var th wire.ThrottleFrame
-			if err := wire.DecodeThrottle(payload, &th); err != nil {
+			if err := versioned(wire.DecodeThrottle(payload, &th), &th.V); err != nil {
 				c.fail(err)
 				return
 			}
@@ -672,10 +533,15 @@ func (c *Client) readBinary(br *bufio.Reader) {
 				return
 			}
 		case wire.BinPong:
-			// Liveness only.
+			// Liveness only, but decoded as strictly as every other frame.
+			v, err := wire.DecodeControl(payload)
+			if err = versioned(err, &v); err != nil {
+				c.fail(err)
+				return
+			}
 		case wire.BinError:
 			var ef wire.ErrorFrame
-			if err := wire.DecodeErrorFrame(payload, &ef); err != nil {
+			if err := versioned(wire.DecodeErrorFrame(payload, &ef), &ef.V); err != nil {
 				c.fail(err)
 				return
 			}
@@ -683,10 +549,21 @@ func (c *Client) readBinary(br *bufio.Reader) {
 				return
 			}
 		default:
-			c.fail(fmt.Errorf("streamclient: unexpected binary frame 0x%x", tag))
+			c.fail(fmt.Errorf("streamclient: unexpected frame tag 0x%x", tag))
 			return
 		}
 	}
+}
+
+// versioned folds a frame's decode error and its version check into one
+// error: a frame that decoded but carries a version this client does not
+// speak is as unusable as one that did not decode. v points at the
+// decoded frame's version, so it is read only after the decode ran.
+func versioned(err error, v *int) error {
+	if err != nil {
+		return err
+	}
+	return wire.CheckVersion(*v)
 }
 
 // errorFrame handles a received error frame: a per-frame rejection
@@ -722,46 +599,31 @@ func (c *Client) heartbeat() {
 				c.fail(ErrHeartbeat)
 				return
 			}
-			_ = c.writeControl(wire.BinPing, wire.PingFrame{V: wire.V1, Type: wire.FramePing})
+			_ = c.writeControl(wire.BinPing)
 		}
 	}
 }
 
-// readLine returns the next non-empty NDJSON line.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			return nil, err
-		}
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			// ReadBytes reuses no buffer, but trim shares storage; copy so
-			// the caller owns the line.
-			out := make([]byte, len(trimmed))
-			copy(out, trimmed)
-			return out, nil
-		}
-	}
-}
-
-// decodeExpected strictly decodes line into v after checking its type,
-// surfacing a typed server error frame as *wire.Error.
-func decodeExpected(line []byte, wantType string, v any) error {
-	head, err := wire.PeekFrame(line)
+// readWelcome reads the handshake's answer: the welcome, or the server's
+// typed refusal surfaced as a (wrapped) *wire.Error.
+func readWelcome(br *bufio.Reader, w *wire.WelcomeFrame) error {
+	var buf []byte
+	tag, payload, err := wire.ReadBinaryFrame(br, &buf, wire.DefaultMaxFrame)
 	if err != nil {
 		return err
 	}
-	if head.Type == wire.FrameError {
+	switch tag {
+	case wire.BinWelcome:
+		return versioned(wire.DecodeWelcome(payload, w), &w.V)
+	case wire.BinError:
 		var ef wire.ErrorFrame
-		if err := wire.UnmarshalStrict(line, &ef); err == nil {
-			e := ef.Err
-			return fmt.Errorf("streamclient: server rejected handshake: %w", &e)
+		if err := wire.DecodeErrorFrame(payload, &ef); err != nil {
+			return err
 		}
+		e := ef.Err
+		return fmt.Errorf("streamclient: server rejected handshake: %w", &e)
 	}
-	if head.Type != wantType {
-		return fmt.Errorf("streamclient: got %s frame, want %s", head.Type, wantType)
-	}
-	return wire.UnmarshalStrict(line, v)
+	return fmt.Errorf("streamclient: got frame tag 0x%x, want welcome", tag)
 }
 
 // Jitter spreads a wait by ±20%, so many clients told to retry at the same

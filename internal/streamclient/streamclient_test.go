@@ -2,7 +2,6 @@ package streamclient
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -38,6 +37,76 @@ func testServer(t *testing.T) *httptest.Server {
 
 func fastOpts() Options {
 	return Options{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+}
+
+// fakeServer is a hand-rolled stream endpoint on loopback: it completes
+// the POST /stream upgrade on every accepted connection, then hands the
+// connection to serve, which speaks binary frames through sendFrame and
+// readFrame. It reports how many connections it accepted.
+func fakeServer(t *testing.T, serve func(conn net.Conn, br *bufio.Reader)) (addr string, accepted *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted = new(atomic.Int64)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			go func(conn net.Conn) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for { // consume the upgrade request head
+					line, err := br.ReadString('\n')
+					if err != nil {
+						return
+					}
+					if line == "\r\n" {
+						break
+					}
+				}
+				// The client reads the upgrade response before it speaks.
+				fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\r\n")
+				serve(conn, br)
+			}(conn)
+		}
+	}()
+	return ln.Addr().String(), accepted
+}
+
+// sendFrame writes one binary frame to a fake server's connection.
+func sendFrame(conn net.Conn, tag byte, payload []byte) {
+	bw := bufio.NewWriter(conn)
+	_ = wire.WriteBinaryFrame(bw, tag, payload)
+	_ = bw.Flush()
+}
+
+// readFrame reads one binary frame on a fake server's connection.
+func readFrame(br *bufio.Reader) (byte, []byte, error) {
+	var buf []byte
+	return wire.ReadBinaryFrame(br, &buf, wire.DefaultMaxFrame)
+}
+
+// welcomeFrame encodes a minimal welcome for a fake server.
+func welcomeFrame(algorithm string) []byte {
+	return wire.AppendWelcome(nil, &wire.WelcomeFrame{V: wire.V1, Type: wire.FrameWelcome, Algorithm: algorithm, Dim: 2})
+}
+
+// refuse answers the hello with a connection-level error frame, the way
+// a real server refuses a handshake.
+func refuse(code string) func(net.Conn, *bufio.Reader) {
+	return func(conn net.Conn, br *bufio.Reader) {
+		if _, _, err := readFrame(br); err != nil { // the hello
+			return
+		}
+		sendFrame(conn, wire.BinError, wire.AppendErrorFrame(nil, &wire.ErrorFrame{V: wire.V1, Type: wire.FrameError,
+			Err: wire.Error{Code: code, Detail: "refused"}}))
+	}
 }
 
 // TestPipelineAcksInOrder drives a real server: pipelined frames are acked
@@ -105,44 +174,8 @@ func TestDialUnreachableTyped(t *testing.T) {
 // does not speak) is reachable and said no — exactly one connection
 // attempt, and the typed wire error surfaces to the caller.
 func TestDialRejectionNotRetried(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var accepted atomic.Int64
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepted.Add(1)
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				for { // consume the upgrade request head
-					line, err := br.ReadString('\n')
-					if err != nil {
-						return
-					}
-					if line == "\r\n" {
-						break
-					}
-				}
-				// The client reads the upgrade response before it speaks.
-				fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\r\n")
-				if _, err := br.ReadString('\n'); err != nil { // the hello
-					return
-				}
-				frame, _ := json.Marshal(wire.ErrorFrame{V: wire.V1, Type: wire.FrameError,
-					Err: wire.Error{Code: wire.CodeBadVersion, Detail: "speak v1"}})
-				conn.Write(append(frame, '\n'))
-			}(conn)
-		}
-	}()
-
-	_, err = Dial(ln.Addr().String(), "/stream", fastOpts())
+	addr, accepted := fakeServer(t, refuse(wire.CodeBadVersion))
+	_, err := Dial(addr, "/stream", fastOpts())
 	var we *wire.Error
 	if !errors.As(err, &we) {
 		t.Fatalf("rejected handshake = %v, want *wire.Error", err)
@@ -152,6 +185,21 @@ func TestDialRejectionNotRetried(t *testing.T) {
 	}
 	if got := accepted.Load(); got != 1 {
 		t.Fatalf("server accepted %d connections, want exactly 1 (refusals must not be retried)", got)
+	}
+}
+
+// TestDialBadFrameRefusalPermanent: bad_frame — what a server answers a
+// hello it cannot decode — is a refusal like any other. Dial surfaces it
+// after one attempt; there is no re-dial with a different hello.
+func TestDialBadFrameRefusalPermanent(t *testing.T) {
+	addr, accepted := fakeServer(t, refuse(wire.CodeBadFrame))
+	_, err := Dial(addr, "/stream", Options{Dim: 2, Window: 8, MaxAttempts: 3, BaseBackoff: time.Millisecond})
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeBadFrame {
+		t.Fatalf("bad_frame refusal = %v, want *wire.Error %q", err, wire.CodeBadFrame)
+	}
+	if got := accepted.Load(); got != 1 {
+		t.Fatalf("server accepted %d connections, want exactly 1 (no downgrade re-dial)", got)
 	}
 }
 
@@ -205,42 +253,20 @@ func TestHandshakeTimeout(t *testing.T) {
 // mute; the ping cadence must declare the connection dead, resolve the
 // pending frame with ErrHeartbeat, and close Done.
 func TestHeartbeatKillsSilentConnection(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
+	addr, _ := fakeServer(t, func(conn net.Conn, br *bufio.Reader) {
+		if _, _, err := readFrame(br); err != nil { // the hello
 			return
 		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		for {
-			line, err := br.ReadString('\n')
-			if err != nil {
-				return
-			}
-			if line == "\r\n" {
-				break
-			}
-		}
-		fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\n\r\n")
-		if _, err := br.ReadString('\n'); err != nil { // the hello
-			return
-		}
-		welcome, _ := json.Marshal(wire.WelcomeFrame{V: wire.V1, Type: wire.FrameWelcome, Algorithm: "mute", Dim: 2})
-		conn.Write(append(welcome, '\n'))
+		sendFrame(conn, wire.BinWelcome, welcomeFrame("mute"))
 		// From here on: read everything, answer nothing.
 		for {
-			if _, err := br.ReadString('\n'); err != nil {
+			if _, _, err := readFrame(br); err != nil {
 				return
 			}
 		}
-	}()
+	})
 
-	c, err := Dial(ln.Addr().String(), "/stream", Options{HeartbeatEvery: 5 * time.Millisecond})
+	c, err := Dial(addr, "/stream", Options{HeartbeatEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package streamclient
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -19,51 +17,26 @@ import (
 // exactly the failover window, where the coordinator has already resent
 // the batch through a replacement connection.
 func TestThrottleResendAbortsOnDeadConnection(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
 	// A hand-rolled server: handshake, throttle the first step frame with
 	// a backoff far longer than the test, then hang until told to drop the
-	// connection. Every line that arrives after the throttle is counted —
+	// connection. Every frame that arrives after the throttle is counted —
 	// a resend landing here is the bug.
 	throttleSent := make(chan struct{})
 	dropConn := make(chan struct{})
 	lateFrames := make(chan int, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
+	addr, _ := fakeServer(t, func(conn net.Conn, br *bufio.Reader) {
+		if _, _, err := readFrame(br); err != nil { // the hello
 			return
 		}
-		br := bufio.NewReader(conn)
-		for { // consume the upgrade request head
-			line, err := br.ReadString('\n')
-			if err != nil {
-				return
-			}
-			if line == "\r\n" {
-				break
-			}
-		}
-		fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\n\r\n")
-		if _, err := br.ReadString('\n'); err != nil { // the hello
-			return
-		}
-		welcome, _ := json.Marshal(wire.WelcomeFrame{V: wire.V1, Type: wire.FrameWelcome, Algorithm: "throttler", Dim: 2})
-		conn.Write(append(welcome, '\n'))
+		sendFrame(conn, wire.BinWelcome, welcomeFrame("throttler"))
 
 		var step wire.StepFrame
-		line, err := br.ReadString('\n')
-		if err != nil {
+		tag, payload, err := readFrame(br)
+		if err != nil || tag != wire.BinStep || wire.DecodeStep(payload, &step) != nil {
 			return
 		}
-		if err := json.Unmarshal([]byte(line), &step); err != nil {
-			return
-		}
-		frame, _ := json.Marshal(wire.ThrottleFrame{V: wire.V1, Type: wire.FrameThrottle, ID: step.ID, RetryAfterMS: 60_000})
-		conn.Write(append(frame, '\n'))
+		sendFrame(conn, wire.BinThrottle, wire.AppendThrottle(nil, &wire.ThrottleFrame{
+			V: wire.V1, Type: wire.FrameThrottle, ID: step.ID, RetryAfterMS: 60_000}))
 		close(throttleSent)
 
 		// Count anything the client still writes, until the test drops the
@@ -71,7 +44,7 @@ func TestThrottleResendAbortsOnDeadConnection(t *testing.T) {
 		got := make(chan struct{}, 16)
 		go func() {
 			for {
-				if _, err := br.ReadString('\n'); err != nil {
+				if _, _, err := readFrame(br); err != nil {
 					return
 				}
 				got <- struct{}{}
@@ -97,9 +70,9 @@ func TestThrottleResendAbortsOnDeadConnection(t *testing.T) {
 				}
 			}
 		}
-	}()
+	})
 
-	c, err := Dial(ln.Addr().String(), "/stream", Options{Dim: 2})
+	c, err := Dial(addr, "/stream", Options{Dim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,8 @@ import (
 
 // Binary frame encoding of the streaming transport.
 //
-// The stream handshake (hello/welcome) is always NDJSON; when the hello
-// asks for Wire == WireBinary and the welcome confirms it, every frame
-// after the welcome — in both directions — uses this encoding instead of
-// one JSON object per line:
+// Every frame of a stream, in both directions and from the hello on, uses
+// this encoding; there is no other:
 //
 //	frame   := tag uvarint(len(payload)) payload
 //	tag     := one byte, BinHello..BinPong
@@ -38,16 +36,7 @@ import (
 // reuse the destination struct's slices (requests, positions, shards)
 // so a steady-state step/ack loop decodes without allocating.
 
-// Wire encodings negotiable in HelloFrame.Wire / WelcomeFrame.Wire.
-const (
-	// WireNDJSON is one JSON frame per line — the default, and the only
-	// encoding peers that predate negotiation speak.
-	WireNDJSON = "ndjson"
-	// WireBinary is the length-prefixed binary encoding of this file.
-	WireBinary = "binary"
-)
-
-// Binary frame tags, one per frame type of the NDJSON grammar.
+// Binary frame tags, one per frame type of the stream grammar.
 const (
 	BinHello    byte = 0x01
 	BinWelcome  byte = 0x02
@@ -60,34 +49,10 @@ const (
 	BinPong     byte = 0x09
 )
 
-// DefaultMaxFrame is the payload bound the stream endpoints pass to
-// ReadBinaryFrame, matching the NDJSON path's maximum line length.
+// DefaultMaxFrame is the payload bound both stream ends pass to
+// ReadBinaryFrame: a frame announcing a larger payload is refused before
+// anything is allocated for it.
 const DefaultMaxFrame = 8 << 20
-
-// binTagName names a tag for error messages.
-func binTagName(tag byte) string {
-	switch tag {
-	case BinHello:
-		return FrameHello
-	case BinWelcome:
-		return FrameWelcome
-	case BinStep:
-		return FrameStep
-	case BinAck:
-		return FrameAck
-	case BinThrottle:
-		return FrameThrottle
-	case BinError:
-		return FrameError
-	case BinBye:
-		return FrameBye
-	case BinPing:
-		return FramePing
-	case BinPong:
-		return FramePong
-	}
-	return fmt.Sprintf("0x%02x", tag)
-}
 
 // WriteBinaryFrame writes one tag|length|payload frame. The caller owns
 // flushing. The length is emitted through WriteByte rather than a local
@@ -325,11 +290,10 @@ func (r *binReader) done() error {
 
 // --- per-frame payloads ---
 
-// AppendHello appends the hello payload: v, dim, wire, window.
+// AppendHello appends the hello payload: v, dim, window.
 func AppendHello(dst []byte, f *HelloFrame) []byte {
 	dst = binary.AppendUvarint(dst, uint64(f.V))
 	dst = binary.AppendUvarint(dst, uint64(f.Dim))
-	dst = appendString(dst, f.Wire)
 	return binary.AppendUvarint(dst, uint64(f.Window))
 }
 
@@ -342,9 +306,6 @@ func DecodeHello(payload []byte, f *HelloFrame) error {
 	}
 	f.Type = FrameHello
 	if f.Dim, err = r.count(); err != nil {
-		return err
-	}
-	if f.Wire, err = r.str(); err != nil {
 		return err
 	}
 	if f.Window, err = r.count(); err != nil {
@@ -363,15 +324,14 @@ func appendLastStep(dst []byte, ls *LastStep) []byte {
 	return appendPoints(dst, ls.Positions)
 }
 
-// AppendWelcome appends the welcome payload: v, algorithm, t, dim, wire,
-// the optional last-step recovery payload, the granted window, and the
+// AppendWelcome appends the welcome payload: v, algorithm, t, dim, the
+// optional last-step recovery payload, the granted window, and the
 // suffix-replay ring.
 func AppendWelcome(dst []byte, f *WelcomeFrame) []byte {
 	dst = binary.AppendUvarint(dst, uint64(f.V))
 	dst = appendString(dst, f.Algorithm)
 	dst = binary.AppendUvarint(dst, uint64(f.T))
 	dst = binary.AppendUvarint(dst, uint64(f.Dim))
-	dst = appendString(dst, f.Wire)
 	dst = appendBool(dst, f.Last != nil)
 	if f.Last != nil {
 		dst = appendLastStep(dst, f.Last)
@@ -400,9 +360,6 @@ func DecodeWelcome(payload []byte, f *WelcomeFrame) error {
 		return err
 	}
 	if f.Dim, err = r.count(); err != nil {
-		return err
-	}
-	if f.Wire, err = r.str(); err != nil {
 		return err
 	}
 	hasLast, err := r.bool()

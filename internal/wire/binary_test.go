@@ -25,9 +25,9 @@ func binFrames() []struct {
 	encode func(dst []byte) []byte
 	decode func(payload []byte) (any, error)
 } {
-	hello := HelloFrame{V: V1, Type: FrameHello, Dim: 3, Wire: WireBinary}
+	hello := HelloFrame{V: V1, Type: FrameHello, Dim: 3, Window: 4}
 	welcome := WelcomeFrame{
-		V: V1, Type: FrameWelcome, Algorithm: "MtC", T: 41, Dim: 2, Wire: WireBinary,
+		V: V1, Type: FrameWelcome, Algorithm: "MtC", T: 41, Dim: 2,
 		Last: &LastStep{
 			T: 40, Batched: 3, Cost: Cost{Move: 1.25, Serve: math.Pi, Total: 1.25 + math.Pi},
 			Clamped: 1, Positions: []Point{{0.5, -2}, {1e-300, 7}},
@@ -112,11 +112,11 @@ func TestBinaryRoundTripAllFrames(t *testing.T) {
 	}
 }
 
-// TestBinaryMatchesJSONDecode is the differential property the transport
-// equivalence rests on: for every frame type, decoding the binary payload
-// yields a value deeply equal to strict-decoding the same frame's NDJSON
-// form — same fields, same float64 bits, same nil-ness. A server fed by
-// either encoding therefore feeds identical values into the engine.
+// TestBinaryMatchesJSONDecode is the differential property behind "one
+// schema, two formats": for every frame type, decoding the binary payload
+// yields a value deeply equal to strict-decoding the same frame's JSON
+// form — same fields, same float64 bits, same nil-ness. An ack read off a
+// stream therefore carries exactly what the HTTP POST /step body does.
 func TestBinaryMatchesJSONDecode(t *testing.T) {
 	for _, tc := range binFrames() {
 		line := mustJSON(t, tc.value)
@@ -129,7 +129,7 @@ func TestBinaryMatchesJSONDecode(t *testing.T) {
 			t.Fatalf("%s: binary decode: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(jsonDecoded.Elem().Interface(), binDecoded) {
-			t.Fatalf("%s: binary and NDJSON decodes disagree:\n json   %#v\n binary %#v",
+			t.Fatalf("%s: binary and JSON decodes disagree:\n json   %#v\n binary %#v",
 				tc.name, jsonDecoded.Elem().Interface(), binDecoded)
 		}
 	}

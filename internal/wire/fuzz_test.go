@@ -15,14 +15,13 @@ import (
 
 // This file is the adversarial half of the wire test layer: native Go
 // fuzz targets for every decoder an untrusted peer can reach —
-// UnmarshalStrict, the NDJSON frame path (PeekFrame + per-type strict
-// decode), the binary frame path (ReadBinaryFrame + per-tag decode), and
-// checkpoint parsing. The property under fuzz is uniform: no input may
+// UnmarshalStrict, the binary stream frame path (ReadBinaryFrame +
+// per-tag decode), and checkpoint parsing. The property under fuzz is uniform: no input may
 // panic, and any input a decoder accepts must survive a value-level
 // re-encode/decode round trip.
 //
 // fuzzSeeds below is the committed corpus, covering every frame type of
-// both encodings. TestFuzzCorpusCommitted materializes it under
+// the stream grammar. TestFuzzCorpusCommitted materializes it under
 // testdata/fuzz/<Target>/ in the native corpus-file format, so plain
 // `go test` (and CI's -fuzz=… -fuzztime=20s job) always starts from full
 // grammar coverage rather than empty-input discovery.
@@ -37,8 +36,8 @@ func binFrame(tag byte, payload []byte) []byte {
 }
 
 // fuzzSeeds maps each fuzz target to its committed seed corpus. Every
-// frame type of the grammar appears in both encodings, plus the legacy
-// and bare checkpoint envelopes and a handful of malformed shapes.
+// frame type of the stream grammar appears, plus the legacy and bare
+// checkpoint envelopes and a handful of malformed shapes.
 var fuzzSeeds = map[string][][]byte{
 	"FuzzUnmarshalStrict": {
 		[]byte(`{"v":1,"type":"hello","dim":2}`),
@@ -49,22 +48,6 @@ var fuzzSeeds = map[string][][]byte{
 		[]byte(`{"v":1,"type":"hello","unknown":true}`),
 		[]byte(`{"v":1`),
 		[]byte(`null`),
-	},
-	"FuzzNDJSONFrame": {
-		[]byte(`{"v":1,"type":"hello","dim":3,"wire":"binary"}`),
-		[]byte(`{"v":1,"type":"welcome","algorithm":"MtC","t":4,"dim":2,"wire":"binary","last":{"t":3,"batched":1,"cost":{"move":1,"serve":2,"total":3},"clamped":0,"positions":[[1,2]]}}`),
-		[]byte(`{"v":1,"type":"step","id":7,"requests":[[3,4],[5,6]]}`),
-		[]byte(`{"v":1,"type":"ack","id":7,"t":1,"accepted":2,"batched":2,"cost":{"move":0,"serve":1,"total":1},"positions":[[1,1]],"shards":[{"shard":0,"routed":2,"cost":{"move":0,"serve":1,"total":1}}]}`),
-		[]byte(`{"v":1,"type":"throttle","id":9,"retry_after_ms":50}`),
-		[]byte(`{"v":1,"type":"error","id":4,"error":{"code":"not_durable","detail":"disk","executed_t":3}}`),
-		[]byte(`{"v":1,"type":"ping"}`),
-		[]byte(`{"v":1,"type":"pong"}`),
-		[]byte(`{"v":1,"type":"bye"}`),
-		[]byte(`{"v":2,"type":"ping"}`),
-		[]byte(`{"type":"ping"}`),
-		[]byte(`not json`),
-		[]byte(`{"v":1,"type":"hello","dim":2,"wire":"binary","window":8}`),
-		[]byte(`{"v":1,"type":"welcome","algorithm":"MtC","t":4,"dim":2,"window":8,"ring":[{"t":2,"batched":1,"cost":{"move":1,"serve":0,"total":1},"positions":[[0,1]]},{"t":3,"batched":2,"cost":{"move":0,"serve":2,"total":2},"positions":[[1,2]]}]}`),
 	},
 	"FuzzBinaryFrame": nil, // built in init: needs the Append helpers
 	"FuzzParseCheckpoint": {
@@ -80,13 +63,13 @@ var fuzzSeeds = map[string][][]byte{
 }
 
 func init() {
-	hello := &HelloFrame{V: V1, Type: FrameHello, Dim: 2, Wire: WireBinary, Window: 8}
+	hello := &HelloFrame{V: V1, Type: FrameHello, Dim: 2, Window: 8}
 	last := &LastStep{T: 3, Batched: 1, Cost: Cost{Move: 1, Serve: 2, Total: 3}, Positions: []Point{{1, 2}}}
 	ring := []LastStep{
 		{T: 2, Batched: 2, Cost: Cost{Move: 0.5, Serve: 1, Total: 1.5}, Positions: []Point{{0, 1}}},
 		*last,
 	}
-	welcome := &WelcomeFrame{V: V1, Type: FrameWelcome, Algorithm: "MtC", T: 4, Dim: 2, Wire: WireBinary, Last: last, Window: 8, Ring: ring}
+	welcome := &WelcomeFrame{V: V1, Type: FrameWelcome, Algorithm: "MtC", T: 4, Dim: 2, Last: last, Window: 8, Ring: ring}
 	ack := AppendAckFrom(nil, V1, 7, 1, 2, 2, Cost{Serve: 1, Total: 1}, 0,
 		[]Point{{1, 1}}, []ShardStep{{Shard: 0, Routed: 2, Cost: Cost{Serve: 1, Total: 1}}})
 	throttle := &ThrottleFrame{V: V1, Type: FrameThrottle, ID: 9, RetryAfterMS: 50}
@@ -174,45 +157,6 @@ func FuzzUnmarshalStrict(f *testing.F) {
 		_ = UnmarshalStrict(data, &s)
 		var a AckFrame
 		_ = UnmarshalStrict(data, &a)
-	})
-}
-
-// FuzzNDJSONFrame drives a fuzzed line through the exact dispatch the
-// stream servers use: PeekFrame for the type, then the per-type strict
-// decode. No input may panic either stage.
-func FuzzNDJSONFrame(f *testing.F) {
-	for _, seed := range fuzzSeeds["FuzzNDJSONFrame"] {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		head, err := PeekFrame(line)
-		if err != nil {
-			return
-		}
-		_ = CheckVersion(head.V)
-		switch head.Type {
-		case FrameHello:
-			var v HelloFrame
-			_ = UnmarshalStrict(line, &v)
-		case FrameWelcome:
-			var v WelcomeFrame
-			_ = UnmarshalStrict(line, &v)
-		case FrameStep:
-			var v StepFrame
-			_ = UnmarshalStrict(line, &v)
-		case FrameAck:
-			var v AckFrame
-			_ = UnmarshalStrict(line, &v)
-		case FrameThrottle:
-			var v ThrottleFrame
-			_ = UnmarshalStrict(line, &v)
-		case FrameError:
-			var v ErrorFrame
-			_ = UnmarshalStrict(line, &v)
-		case FramePing, FramePong, FrameBye:
-			var v PingFrame
-			_ = UnmarshalStrict(line, &v)
-		}
 	})
 }
 

@@ -28,9 +28,6 @@ type LabCellSummary struct {
 	// Transport is "inproc" (a protocol.Service driven directly) or
 	// "stream" (a spawned server fed over the streaming transport).
 	Transport string `json:"transport"`
-	// Wire is the negotiated stream encoding of a live cell ("binary" or
-	// "ndjson"); empty for in-process cells.
-	Wire string `json:"wire,omitempty"`
 	// Window is the negotiated in-flight pipeline depth of a live cell
 	// (1 = lockstep); 0 for in-process cells.
 	Window int `json:"window,omitempty"`

@@ -23,12 +23,12 @@ func CheckVersion(v int) error {
 	return nil
 }
 
-// Frame types of the NDJSON streaming transport (POST /stream). Each frame
-// is one JSON object on its own line; see the per-type structs for the
-// grammar.
+// Frame types of the streaming transport (POST /stream). On the wire
+// every frame is binary (see binary.go: one tag byte per type); the names
+// label frames in errors and in the Type field of the decoded structs.
 const (
-	// FrameHello opens a stream (client -> server): version negotiation
-	// plus an optional dimension check.
+	// FrameHello opens a stream (client -> server): version check plus an
+	// optional dimension check and window request.
 	FrameHello = "hello"
 	// FrameWelcome accepts a stream (server -> client) and tells the
 	// client where the session stands, so a reconnecting client can
@@ -63,8 +63,9 @@ const (
 	// CodeBadVersion: the hello (or a later frame) carried a version this
 	// endpoint does not speak. Fatal: the connection closes.
 	CodeBadVersion = "bad_version"
-	// CodeBadFrame: the frame was not valid JSON, had no known type, or
-	// carried unknown fields (decoding is strict).
+	// CodeBadFrame: the frame did not decode — an unknown tag, truncated
+	// or trailing bytes (decoding is strict), or a first frame that is not
+	// a binary hello.
 	CodeBadFrame = "bad_frame"
 	// CodeBadRequest: the frame was well-formed but its payload was
 	// rejected (dimension mismatch, non-finite coordinates).
@@ -109,52 +110,20 @@ func (e *Error) Error() string {
 	return e.Code + ": " + e.Detail
 }
 
-// FrameHead is the envelope every frame shares: the version stamp and the
-// frame type. Decoders peek it leniently to dispatch, then re-decode the
-// full line strictly into the per-type struct.
-type FrameHead struct {
-	V    int    `json:"v"`
-	Type string `json:"type"`
-}
-
-// PeekFrame reads just the envelope of one NDJSON line.
-func PeekFrame(line []byte) (FrameHead, error) {
-	var h FrameHead
-	//moblint:rawdecode deliberately lenient envelope peek; the dispatched line is re-decoded strictly per type
-	if err := json.Unmarshal(line, &h); err != nil {
-		return FrameHead{}, fmt.Errorf("wire: bad frame: %w", err)
-	}
-	if h.Type == "" {
-		return FrameHead{}, fmt.Errorf("wire: frame has no type")
-	}
-	return h, nil
-}
-
-// HelloFrame opens a stream: `{"v":1,"type":"hello"}`. Dim, when set,
-// asks the server to confirm the session dimension before any step is
-// sent.
+// HelloFrame opens a stream; it must be the first frame the client
+// sends. Dim, when set, asks the server to confirm the session dimension
+// before any step is sent.
 type HelloFrame struct {
 	V    int    `json:"v"`
 	Type string `json:"type"`
 	Dim  int    `json:"dim,omitempty"`
-	// Wire, when set, asks the server to switch the stream to the named
-	// frame encoding (WireBinary or WireNDJSON) after the welcome. The
-	// handshake itself is always NDJSON. Servers that predate the field
-	// reject the hello strictly (bad_frame), which clients treat as "speak
-	// NDJSON" by re-dialing without the field.
-	Wire string `json:"wire,omitempty"`
 	// Window, when > 1, asks the server to accept up to Window pipelined
 	// step frames in flight at once with suffix-replay reconciliation
-	// (see WelcomeFrame.Ring). Absent or <= 1 is lockstep — the only
-	// behavior before the field existed. Servers that predate the field
-	// reject the hello strictly (bad_frame), which clients treat exactly
-	// like the wire downgrade: re-dial without the field and run lockstep.
+	// (see WelcomeFrame.Ring). Absent or <= 1 is lockstep.
 	Window int `json:"window,omitempty"`
 }
 
-// WelcomeFrame accepts a stream:
-// `{"v":1,"type":"welcome","algorithm":"MtC","t":12,"dim":2}`.
-// T is the session's current step count — the next executed step gets
+// WelcomeFrame accepts a stream, answering the hello. T is the session's current step count — the next executed step gets
 // index T — so a reconnecting client knows exactly which of its batches
 // were executed before the connection died (every step up to T-1 was).
 type WelcomeFrame struct {
@@ -170,10 +139,6 @@ type WelcomeFrame struct {
 	// Absent at T == 0 and on sessions resumed from checkpoints that
 	// predate the field.
 	Last *LastStep `json:"last,omitempty"`
-	// Wire confirms the frame encoding of every frame after this welcome.
-	// Empty means NDJSON (the only encoding before the field existed). A
-	// server never confirms an encoding the hello did not ask for.
-	Wire string `json:"wire,omitempty"`
 	// Window is the granted in-flight pipeline depth: the server accepts
 	// up to Window unacked step frames and retains a ring of the last
 	// Window executed outcomes for suffix-replay recovery. Never more
@@ -206,22 +171,20 @@ type LastStep struct {
 	Positions []Point `json:"positions"`
 }
 
-// PingFrame is a liveness probe: `{"v":1,"type":"ping"}`. The server
-// answers with a pong through the ordered reply queue.
+// PingFrame is a liveness probe. The server answers with a pong through
+// the ordered reply queue.
 type PingFrame struct {
 	V    int    `json:"v"`
 	Type string `json:"type"`
 }
 
-// PongFrame answers a ping: `{"v":1,"type":"pong"}`.
+// PongFrame answers a ping.
 type PongFrame struct {
 	V    int    `json:"v"`
 	Type string `json:"type"`
 }
 
-// StepFrame submits one batch:
-// `{"v":1,"type":"step","id":7,"requests":[[3,4],[5,6]]}`.
-// ID is chosen by the client (unique per connection; monotonically
+// StepFrame submits one batch. ID is chosen by the client (unique per connection; monotonically
 // increasing by convention) and echoed on the ack/throttle/error that
 // answers the frame, so a pipelining client can match replies without
 // counting.
@@ -265,7 +228,7 @@ type ErrorFrame struct {
 }
 
 // ByeFrame ends a stream gracefully: the server finishes answering every
-// submitted frame, then closes. `{"v":1,"type":"bye"}`.
+// submitted frame, then closes.
 type ByeFrame struct {
 	V    int    `json:"v"`
 	Type string `json:"type"`

@@ -17,19 +17,6 @@ func TestCheckVersion(t *testing.T) {
 	}
 }
 
-func TestPeekFrameDispatch(t *testing.T) {
-	h, err := PeekFrame([]byte(`{"v":1,"type":"step","id":4,"requests":[[1,2]]}`))
-	if err != nil || h.V != V1 || h.Type != FrameStep {
-		t.Fatalf("peek = %+v, %v", h, err)
-	}
-	if _, err := PeekFrame([]byte(`{"v":1}`)); err == nil {
-		t.Fatal("frame without type must not peek")
-	}
-	if _, err := PeekFrame([]byte(`{`)); err == nil {
-		t.Fatal("bad JSON must not peek")
-	}
-}
-
 // TestStrictFrameDecoding: the per-type frame decode rejects unknown
 // fields, so a typo'd field name fails loudly instead of silently
 // dropping the payload.

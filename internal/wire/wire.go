@@ -1,19 +1,22 @@
-// Package wire defines the versioned JSON wire format of the serving API
-// (internal/protocol, internal/server, cmd/mobserve): request/response
-// bodies for the HTTP endpoints, the NDJSON frames of the streaming
-// transport (POST /stream), the server-sent metrics events
-// (GET /metrics/stream), and the checkpoint document.
+// Package wire defines the versioned wire formats of the serving API
+// (internal/protocol, internal/server, cmd/mobserve): the JSON
+// request/response bodies of the HTTP endpoints, the server-sent metrics
+// events (GET /metrics/stream) and the checkpoint document, plus the
+// length-prefixed binary frames of the streaming transport (POST /stream,
+// binary.go).
 //
 // Everything that crosses a process boundary carries a version stamp
 // ("v", currently V1); decoders reject unknown majors instead of guessing
-// (CheckVersion), and request decoding is strict — unknown fields are an
-// error, not a silently dropped no-op. Errors are typed (Error, with a
-// stable Code) rather than status-code-only.
+// (CheckVersion), and decoding is strict — unknown JSON fields and
+// trailing binary bytes are an error, not a silently dropped no-op.
+// Errors are typed (Error, with a stable Code) rather than
+// status-code-only.
 //
-// Points travel as plain JSON arrays of coordinates. Go marshals float64
-// values in the shortest form that round-trips to identical bits, so
-// positions and costs reported over the wire are exact, matching the
-// engine's checkpoint guarantees.
+// In JSON, points travel as plain arrays of coordinates. Go marshals
+// float64 values in the shortest form that round-trips to identical bits,
+// and binary frames carry the raw IEEE-754 bits, so positions and costs
+// reported over either format are exact, matching the engine's checkpoint
+// guarantees.
 package wire
 
 import (

@@ -1,19 +1,16 @@
 #!/bin/sh
 # bench.sh: run the reproduction benchmark suite (BenchmarkE*), the
 # sharded-vs-unsharded serving benchmark (BenchmarkRouterStep), the
-# transport comparison (BenchmarkStreamVsHTTP), the stream-encoding
-# comparison (BenchmarkStreamBinaryVsNDJSON), the shard-layout
+# transport comparison (BenchmarkStreamVsHTTP), the shard-layout
 # comparison (BenchmarkRebalanceVsStatic), the multi-process serving
 # comparison (BenchmarkClusterVsLocal), and the pipelined-ingestion
 # comparison (BenchmarkClusterPipelinedVsLockstep) and emit a
 # machine-readable JSON summary, so the bench trajectory is tracked as a
-# CI artifact instead of scrolling away in logs. The summary carries five
-# derived entries: "stream_vs_http" (per-batch latency of each transport and the
-# speedup of pipelined NDJSON ingestion over per-request HTTP),
-# "stream_binary_vs_ndjson" (per-frame latency of each stream encoding,
-# the speedup of binary frames over NDJSON, and the binary path's
-# allocs/op — the zero-copy pipeline's headline numbers),
-# "rebalance_vs_static" (per-step serving cost of the drifting-hotspot
+# CI artifact instead of scrolling away in logs. The summary carries four
+# derived entries: "stream_vs_http" (per-batch latency of each transport,
+# the speedup of pipelined binary-frame ingestion over per-request HTTP,
+# and the stream path's allocs/op — the zero-copy pipeline's headline
+# number), "rebalance_vs_static" (per-step serving cost of the drifting-hotspot
 # workload under a static vs a dynamically rebalanced shard layout, and
 # the fraction of cost the rebalancer saves), "cluster_vs_local"
 # (per-step latency of the in-process sharded server vs a coordinator
@@ -22,7 +19,7 @@
 # "cluster_pipelined_vs_lockstep" (per-step latency of the cluster tier
 # in lockstep vs with a pipelined ingestion window and group-commit
 # checkpointing, the speedup the window buys, and the negotiated window
-# depth). A sixth entry, "lab_matrix", is not awk-derived at all: the
+# depth). A fifth entry, "lab_matrix", is not awk-derived at all: the
 # scenario lab's committed example matrix (matrices/example.json) is
 # swept via cmd/moblab — in-process cells, so the numbers are
 # byte-deterministic per seed — and its aggregated cross-cell bench
@@ -55,7 +52,6 @@ go run ./cmd/moblab sweep -matrix matrices/example.json -out "$lab_dir" -stamp b
 go test -run '^$' -bench 'BenchmarkE' -benchtime "${BENCHTIME:-1x}" . | tee "$raw"
 go test -run '^$' -bench 'BenchmarkRouterStep' -benchtime "${BENCHTIME:-50x}" ./internal/shard/ | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkStreamVsHTTP' -benchtime "${BENCHTIME:-300x}" ./internal/server/ | tee -a "$raw"
-go test -run '^$' -bench 'BenchmarkStreamBinaryVsNDJSON' -benchtime "${BENCHTIME:-300x}" ./internal/server/ | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkRebalanceVsStatic' -benchtime "${BENCHTIME:-3x}" ./internal/shard/ | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkClusterVsLocal' -benchtime "${BENCHTIME:-200x}" ./internal/cluster/ | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkClusterPipelinedVsLockstep' -benchtime "${BENCHTIME:-200x}" ./internal/cluster/ | tee -a "$raw"
@@ -67,8 +63,7 @@ awk -v go_version="$(go version)" -v stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 BEGIN {
 	printf "{\n  \"go\": \"%s\",\n  \"date\": \"%s\",\n  \"benchmarks\": [\n", go_version, stamp
 	n = 0
-	http_ns = ""; stream_ns = ""
-	ndjson_ns = ""; binary_ns = ""; binary_allocs = ""
+	http_ns = ""; stream_ns = ""; stream_allocs = ""
 	static_cost = ""; rebalance_cost = ""
 	local_ns = ""; cluster_ns = ""
 	lockstep_ns = ""; pipelined_ns = ""; pipe_window = ""
@@ -83,7 +78,7 @@ BEGIN {
 		if ($(i+1) == "B/op")      extra = extra sprintf(", \"bytes_per_op\": %s", $i)
 		if ($(i+1) == "allocs/op") {
 			extra = extra sprintf(", \"allocs_per_op\": %s", $i)
-			if (name ~ /BenchmarkStreamBinaryVsNDJSON\/binary$/) binary_allocs = $i
+			if (name ~ /BenchmarkStreamVsHTTP\/stream$/) stream_allocs = $i
 		}
 		if ($(i+1) == "req/s")     extra = extra sprintf(", \"req_per_sec\": %s", $i)
 		if ($(i+1) == "window") {
@@ -98,8 +93,6 @@ BEGIN {
 	}
 	if (name ~ /BenchmarkStreamVsHTTP\/http$/)   http_ns = ns
 	if (name ~ /BenchmarkStreamVsHTTP\/stream$/) stream_ns = ns
-	if (name ~ /BenchmarkStreamBinaryVsNDJSON\/ndjson$/) ndjson_ns = ns
-	if (name ~ /BenchmarkStreamBinaryVsNDJSON\/binary$/) binary_ns = ns
 	if (name ~ /BenchmarkClusterVsLocal\/local$/)   local_ns = ns
 	if (name ~ /BenchmarkClusterVsLocal\/cluster$/) cluster_ns = ns
 	if (name ~ /BenchmarkClusterPipelinedVsLockstep\/lockstep$/)  lockstep_ns = ns
@@ -110,13 +103,9 @@ BEGIN {
 END {
 	printf "\n  ]"
 	if (http_ns != "" && stream_ns != "" && stream_ns + 0 > 0) {
-		printf ",\n  \"stream_vs_http\": {\"http_ns_per_batch\": %s, \"stream_ns_per_batch\": %s, \"stream_speedup\": %.2f}",
+		printf ",\n  \"stream_vs_http\": {\"http_ns_per_batch\": %s, \"stream_ns_per_batch\": %s, \"stream_speedup\": %.2f",
 			http_ns, stream_ns, (http_ns + 0) / (stream_ns + 0)
-	}
-	if (ndjson_ns != "" && binary_ns != "" && binary_ns + 0 > 0) {
-		printf ",\n  \"stream_binary_vs_ndjson\": {\"ndjson_ns_per_frame\": %s, \"binary_ns_per_frame\": %s, \"binary_speedup\": %.2f",
-			ndjson_ns, binary_ns, (ndjson_ns + 0) / (binary_ns + 0)
-		if (binary_allocs != "") printf ", \"binary_allocs_per_op\": %s", binary_allocs
+		if (stream_allocs != "") printf ", \"stream_allocs_per_op\": %s", stream_allocs
 		printf "}"
 	}
 	if (static_cost != "" && rebalance_cost != "" && static_cost + 0 > 0) {
@@ -155,7 +144,7 @@ fi
 # Fail loudly when an expected summary entry is missing: the benchmark it
 # derives from was renamed, skipped, or broke without failing the run.
 missing=0
-for key in stream_vs_http stream_binary_vs_ndjson rebalance_vs_static cluster_vs_local cluster_pipelined_vs_lockstep lab_matrix; do
+for key in stream_vs_http rebalance_vs_static cluster_vs_local cluster_pipelined_vs_lockstep lab_matrix; do
 	if ! grep -q "\"$key\"" "$out"; then
 		echo "bench.sh: missing expected summary entry \"$key\" in $out" >&2
 		missing=1
