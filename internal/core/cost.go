@@ -45,17 +45,19 @@ func StepCost(cfg Config, from, to geom.Point, requests []geom.Point) Cost {
 
 // NearestServeCost returns Σ_v min_j d(positions[j], v): every request is
 // served by its nearest server. With a single position it reduces to the
-// paper's serve cost.
+// paper's serve cost. It takes one square root per request, of the
+// smallest squared distance: sqrt is monotone and correctly rounded, so
+// that is exactly the smallest of the Dist values.
 func NearestServeCost(positions, requests []geom.Point) float64 {
 	total := 0.0
 	for _, v := range requests {
 		best := math.Inf(1)
 		for _, p := range positions {
-			if d := geom.Dist(p, v); d < best {
+			if d := geom.DistSq(p, v); d < best {
 				best = d
 			}
 		}
-		total += best
+		total += math.Sqrt(best)
 	}
 	return total
 }

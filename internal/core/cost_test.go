@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/xrand"
 )
 
 func TestCostTotalAdd(t *testing.T) {
@@ -122,5 +123,38 @@ func TestTrajectoryCostMatchesManualSum(t *testing.T) {
 		Add(StepCost(in.Config, positions[1], positions[2], in.Steps[1].Requests))
 	if math.Abs(c.Total()-want.Total()) > 1e-12 {
 		t.Fatalf("TrajectoryCost = %v, want %v", c, want)
+	}
+}
+
+// TestNearestServeCostIsMinDist pins NearestServeCost's single square root
+// per request to the per-server definition bit for bit: Σ_v min_j Dist.
+func TestNearestServeCostIsMinDist(t *testing.T) {
+	r := xrand.New(5)
+	for iter := 0; iter < 300; iter++ {
+		dim := 1 + r.IntN(3)
+		scale := math.Pow(10, r.Range(-6, 6))
+		mk := func(n int) []geom.Point {
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				p := make(geom.Point, dim)
+				for k := range p {
+					p[k] = r.Range(-scale, scale)
+				}
+				pts[i] = p
+			}
+			return pts
+		}
+		pos, reqs := mk(1+r.IntN(8)), mk(r.IntN(20))
+		want := 0.0
+		for _, v := range reqs {
+			best := math.Inf(1)
+			for _, p := range pos {
+				best = math.Min(best, geom.Dist(p, v))
+			}
+			want += best
+		}
+		if got := NearestServeCost(pos, reqs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NearestServeCost = %v, per-server Dist sum = %v", got, want)
+		}
 	}
 }

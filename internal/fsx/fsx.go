@@ -19,30 +19,38 @@ import (
 // WriteFileAtomic writes data to path via a temp file in the same
 // directory, fsync, and an atomic rename, so neither a process kill
 // mid-write nor a system crash shortly after leaves a torn or empty
-// file. dir, when non-nil, is an already-open handle on path's parent
+// file. Each call writes its own uniquely named temp file, so concurrent
+// writers of one path (a worker that has gone silent but still runs and
+// the survivor that took over its shard, say) never rename each other's
+// temp file away: each rename installs one complete file, and the last
+// one wins. dir, when non-nil, is an already-open handle on path's parent
 // directory used to make the rename itself durable without re-opening
 // the directory on every write; a nil dir falls back to a per-write
 // open. The directory fsync is best-effort either way: some
 // platforms/filesystems refuse it, and the rename is already atomic for
 // process-level crashes.
 func WriteFileAtomic(path string, data []byte, dir *os.File) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 would hide artifacts from other readers
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if dir != nil {

@@ -129,17 +129,19 @@ func Collinear(pts []Point, tol float64) (Line, bool) {
 }
 
 // Spread returns the maximum pairwise distance of the point set (its
-// diameter). An empty set has spread 0.
+// diameter). An empty set has spread 0. It takes one square root, of the
+// largest squared distance: sqrt is monotone and correctly rounded, so
+// that is exactly the largest of the pairwise Dist values.
 func Spread(pts []Point) float64 {
-	maxD := 0.0
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if d := Dist(pts[i], pts[j]); d > maxD {
-				maxD = d
+	maxSq := 0.0
+	for i, p := range pts {
+		for _, q := range pts[i+1:] {
+			if d := DistSq(p, q); d > maxSq {
+				maxSq = d
 			}
 		}
 	}
-	return maxD
+	return math.Sqrt(maxSq)
 }
 
 // Box is an axis-aligned bounding box.

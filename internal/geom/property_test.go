@@ -213,3 +213,44 @@ func TestSpreadVsBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSpreadIsMaxPairwiseDist pins Spread's single square root to the
+// per-pair definition bit for bit: the largest Dist over all pairs.
+func TestSpreadIsMaxPairwiseDist(t *testing.T) {
+	r := xrand.New(109)
+	for iter := 0; iter < 1000; iter++ {
+		n := 1 + r.IntN(12)
+		dim := 1 + r.IntN(4)
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = randPoint(r, dim, math.Pow(10, r.Range(-9, 9)))
+		}
+		want := 0.0
+		for i := range pts {
+			for j := i + 1; j < n; j++ {
+				want = math.Max(want, Dist(pts[i], pts[j]))
+			}
+		}
+		if got := Spread(pts); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Spread = %v, max pairwise Dist = %v", got, want)
+		}
+	}
+}
+
+// TestSpreadPanicsOnMixedDims: a planar point next to a 3-D one is a
+// dimension mismatch whichever comes first.
+func TestSpreadPanicsOnMixedDims(t *testing.T) {
+	for _, pts := range [][]Point{
+		{NewPoint(0, 0), NewPoint(1, 2, 3)},
+		{NewPoint(1, 2, 3), NewPoint(0, 0)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Spread(%v) did not panic", pts)
+				}
+			}()
+			Spread(pts)
+		}()
+	}
+}

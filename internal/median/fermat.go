@@ -18,37 +18,61 @@ import (
 // For dimensions above 2 the computation happens in the triangle's own
 // plane via an orthonormal basis. The result is exact up to floating
 // point and serves both as a fast path and as an independent oracle for
-// the Weiszfeld iteration.
+// the Weiszfeld iteration. When the two lines are numerically parallel
+// (a tiny triangle) it falls back to the Weiszfeld iteration.
 func ThreePoints(a, b, c geom.Point) geom.Point {
-	if line, ok := geom.Collinear([]geom.Point{a, b, c}, 1e-12*(1+geom.Spread([]geom.Point{a, b, c}))); ok {
-		// Middle point along the line: project and take the median
-		// parameter.
-		if line.Dir.NormSq() == 0 {
-			return a.Clone()
+	tri := [3]geom.Point{a, b, c}
+	sc := scratchPool.Get().(*scratch)
+	p := sc.threePoints(nil, tri[:])
+	scratchPool.Put(sc)
+	return p
+}
+
+// threePoints writes ThreePoints(pts[0], pts[1], pts[2]) into dst, with
+// every vector intermediate in scratch buffers.
+//
+//moblint:hotpath
+func (sc *scratch) threePoints(dst geom.Point, pts []geom.Point) geom.Point {
+	a, b, c := pts[0], pts[1], pts[2]
+	spread := geom.Spread(pts)
+	if sc.collinear(pts, 1e-12*(1+spread)) {
+		// Middle point along the line through a with direction sc.dir:
+		// project and take the median parameter.
+		dir := sc.dir
+		if dir.NormSq() == 0 {
+			return geom.CopyInto(dst, a)
 		}
-		_, ta := line.Project(a)
-		_, tb := line.Project(b)
-		_, tc := line.Project(c)
+		ta, tb, tc := project(a, a, dir), project(b, a, dir), project(c, a, dir)
 		mid := ta + tb + tc - math.Min(ta, math.Min(tb, tc)) - math.Max(ta, math.Max(tb, tc))
-		return line.Origin.Add(line.Dir.Scale(mid))
+		return sc.lineAt(dst, a, mid)
 	}
 	// 120° rule: the dot product test (u·v ≤ −|u||v|/2) detects an angle
 	// of at least 120° at the shared vertex.
 	if wideAngle(a, b, c) {
-		return a.Clone()
+		return geom.CopyInto(dst, a)
 	}
 	if wideAngle(b, a, c) {
-		return b.Clone()
+		return geom.CopyInto(dst, b)
 	}
 	if wideAngle(c, a, b) {
-		return c.Clone()
+		return geom.CopyInto(dst, c)
 	}
 	// Work in the triangle's plane: orthonormal basis (e1, e2) at a.
-	ab := b.Sub(a)
-	ac := c.Sub(a)
-	e1 := ab.Unit()
-	acPerp := ac.Sub(e1.Scale(ac.Dot(e1)))
-	e2 := acPerp.Unit()
+	d := a.Dim()
+	sc.ab, sc.ac = resizePoint(sc.ab, d), resizePoint(sc.ac, d)
+	sc.e1, sc.e2 = resizePoint(sc.e1, d), resizePoint(sc.e2, d)
+	ab, ac, e1, e2 := sc.ab, sc.ac, sc.e1, sc.e2
+	for k := range ab {
+		ab[k] = b[k] - a[k]
+		ac[k] = c[k] - a[k]
+	}
+	unitInto(e1, ab)
+	// e2 = unit(ac - (ac·e1)·e1), built in e2 itself.
+	acE1 := ac.Dot(e1)
+	for k := range e2 {
+		e2[k] = ac[k] - acE1*e1[k]
+	}
+	unitInto(e2, e2)
 	// 2-D coordinates.
 	ax, ay := 0.0, 0.0
 	bx, by := ab.Dot(e1), ab.Dot(e2) // by == 0 by construction
@@ -59,17 +83,49 @@ func ThreePoints(a, b, c geom.Point) geom.Point {
 	// Intersect line a→apexBC with line b→apexAC.
 	px, py, ok := intersect2D(ax, ay, apexBC[0], apexBC[1], bx, by, apexAC[0], apexAC[1])
 	if !ok {
-		// Numerically degenerate; fall back to the robust iteration.
-		return Point([]geom.Point{a, b, c}, Options{})
+		// Numerically degenerate: solve by iteration instead.
+		return sc.weiszfeld(dst, pts, Options{}.withDefaults(), spread)
 	}
-	return a.Add(e1.Scale(px)).Add(e2.Scale(py))
+	dst = resizePoint(dst, d)
+	for k := range dst {
+		dst[k] = a[k] + px*e1[k] + py*e2[k]
+	}
+	return dst
+}
+
+// project returns the parameter t of p's projection onto the line through
+// origin with direction dir (geom.Line.Project's arithmetic).
+func project(p, origin, dir geom.Point) float64 {
+	t := 0.0
+	for k := range p {
+		t += (p[k] - origin[k]) * dir[k]
+	}
+	return t
+}
+
+// unitInto writes v.Unit() into dst (which may alias v) with Unit's
+// arithmetic.
+func unitInto(dst, v geom.Point) {
+	n := v.Norm()
+	if n == 0 {
+		panic("median: unit of zero vector")
+	}
+	inv := 1 / n
+	for k := range dst {
+		dst[k] = inv * v[k]
+	}
 }
 
 // wideAngle reports whether the angle at v (between u and w) is >= 120°.
 func wideAngle(v, u, w geom.Point) bool {
-	x := u.Sub(v)
-	y := w.Sub(v)
-	return x.Dot(y) <= -0.5*x.Norm()*y.Norm()+1e-15
+	xy, xx, yy := 0.0, 0.0, 0.0
+	for k := range v {
+		x, y := u[k]-v[k], w[k]-v[k]
+		xy += x * y
+		xx += x * x
+		yy += y * y
+	}
+	return xy <= -0.5*math.Sqrt(xx)*math.Sqrt(yy)+1e-15
 }
 
 // apex2D returns the apex of the equilateral triangle erected on segment

@@ -3,8 +3,9 @@
 // Σ_i d(c, v_i) — which is the target point of the paper's Move-to-Center
 // algorithm.
 //
-// For point sets that are not collinear the minimizer is unique and is
-// found by the Weiszfeld iteration with the Vardi–Zhang correction (which
+// For point sets that are not collinear the minimizer is unique: three
+// points take the exact Fermat–Torricelli construction (ThreePoints), more
+// take the Weiszfeld iteration with the Vardi–Zhang correction (which
 // handles iterates landing exactly on an input point). For collinear sets
 // (including all 1-D inputs) the minimizer set is computed exactly: it is a
 // single point for an odd number of points and a closed segment between the
@@ -14,8 +15,6 @@
 package median
 
 import (
-	"sort"
-
 	"repro/internal/geom"
 )
 
@@ -71,28 +70,24 @@ func Solve(pts []geom.Point, opts Options) Set {
 		p := pts[0].Clone()
 		return Set{Seg: geom.NewSegment(p, p), Unique: true}
 	}
-	if line, ok := geom.Collinear(pts, o.CollinearTol*spread); ok {
-		return collinearMedian(pts, line)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if sc.collinear(pts, o.CollinearTol*spread) {
+		lo, hi, single := sc.middle(pts)
+		a := sc.lineAt(nil, pts[0], lo)
+		if single {
+			return Set{Seg: geom.NewSegment(a, a), Unique: true}
+		}
+		return Set{Seg: geom.NewSegment(a, sc.lineAt(nil, pts[0], hi)), Unique: false}
 	}
-	if len(pts) == 3 {
-		// Fast path: the closed-form Fermat–Torricelli construction is
-		// exact for non-collinear triples (the common r=3 case).
-		c := ThreePoints(pts[0], pts[1], pts[2])
-		return Set{Seg: geom.NewSegment(c, c), Unique: true}
-	}
-	c := weiszfeld(pts, o, spread)
+	c := sc.nonCollinear(nil, pts, o, spread)
 	return Set{Seg: geom.NewSegment(c, c), Unique: true}
 }
 
 // Closest returns the point of the minimizer set closest to anchor — the
 // paper's tie-break rule for the Move-to-Center algorithm.
 func Closest(pts []geom.Point, anchor geom.Point, opts Options) geom.Point {
-	set := Solve(pts, opts)
-	if set.Unique {
-		return set.Seg.A
-	}
-	c, _ := set.Seg.ClosestTo(anchor)
-	return c
+	return ClosestInto(nil, pts, anchor, opts)
 }
 
 // Point returns an arbitrary minimizer (the midpoint of the minimizer set
@@ -107,89 +102,3 @@ func Point(pts []geom.Point, opts Options) geom.Point {
 
 // Cost returns Σ d(c, v_i) for the given center.
 func Cost(c geom.Point, pts []geom.Point) float64 { return geom.SumDist(c, pts) }
-
-// collinearMedian solves the problem exactly on a line: project all points
-// to scalar parameters, take the middle order statistic(s).
-func collinearMedian(pts []geom.Point, line geom.Line) Set {
-	n := len(pts)
-	ts := make([]float64, n)
-	for i, p := range pts {
-		_, t := line.Project(p)
-		ts[i] = t
-	}
-	sort.Float64s(ts)
-	at := func(t float64) geom.Point { return line.Origin.Add(line.Dir.Scale(t)) }
-	if n%2 == 1 {
-		c := at(ts[n/2])
-		return Set{Seg: geom.NewSegment(c, c), Unique: true}
-	}
-	lo, hi := ts[n/2-1], ts[n/2]
-	if lo == hi {
-		c := at(lo)
-		return Set{Seg: geom.NewSegment(c, c), Unique: true}
-	}
-	return Set{Seg: geom.NewSegment(at(lo), at(hi)), Unique: false}
-}
-
-// weiszfeld runs the Weiszfeld fixed-point iteration with the Vardi–Zhang
-// correction. pts are guaranteed non-collinear, so the minimizer is unique
-// and the objective is strictly convex on the affine hull.
-func weiszfeld(pts []geom.Point, o Options, spread float64) geom.Point {
-	y := geom.Centroid(pts)
-	tol := o.Tol * spread
-	snapTol := 1e-14 * spread
-
-	for iter := 0; iter < o.MaxIter; iter++ {
-		next, done := weiszfeldStep(pts, y, snapTol)
-		if done {
-			return next
-		}
-		if geom.Dist(y, next) <= tol {
-			return next
-		}
-		y = next
-	}
-	return y
-}
-
-// weiszfeldStep performs one iteration from y. done reports that y (or the
-// returned point) is optimal and iteration should stop.
-func weiszfeldStep(pts []geom.Point, y geom.Point, snapTol float64) (geom.Point, bool) {
-	d := y.Dim()
-	numer := geom.Zero(d)
-	denom := 0.0
-	// eta counts input points coinciding with y; r accumulates the
-	// direction Σ_{v_i != y} (v_i - y)/d_i.
-	eta := 0.0
-	r := geom.Zero(d)
-	for _, v := range pts {
-		di := geom.Dist(y, v)
-		if di <= snapTol {
-			eta++
-			continue
-		}
-		w := 1 / di
-		denom += w
-		for k := 0; k < d; k++ {
-			numer[k] += v[k] * w
-			r[k] += (v[k] - y[k]) * w
-		}
-	}
-	if denom == 0 {
-		// All points coincide with y; y is trivially optimal.
-		return y.Clone(), true
-	}
-	tPlain := numer.Scale(1 / denom)
-	if eta == 0 {
-		return tPlain, false
-	}
-	// Vardi–Zhang: y sits on an input point with multiplicity eta. y is
-	// optimal iff ||r|| <= eta; otherwise blend the plain step with y.
-	rNorm := r.Norm()
-	if rNorm <= eta {
-		return y.Clone(), true
-	}
-	beta := eta / rNorm
-	next := tPlain.Scale(1 - beta).Add(y.Scale(beta))
-	return next, false
-}

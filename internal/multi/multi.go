@@ -43,6 +43,11 @@ func Run(in *core.FleetInstance, alg core.FleetAlgorithm, tol float64) (*engine.
 type MtCK struct {
 	cfg core.Config
 	pos []geom.Point
+	// assigned (one request bucket per server) and center are Move's
+	// working buffers, kept across steps so the steady-state Move
+	// allocates nothing; Move grows them on first use.
+	assigned [][]geom.Point
+	center   geom.Point
 }
 
 // NewMtCK returns the fleet Move-to-Center controller.
@@ -60,12 +65,20 @@ func (a *MtCK) Reset(cfg core.Config, starts []geom.Point) {
 	}
 }
 
-// Move implements core.FleetAlgorithm.
+// Move implements core.FleetAlgorithm. It moves the servers in place: the
+// returned slice and its points are overwritten by the next Move.
+//
+//moblint:hotpath
 func (a *MtCK) Move(requests []geom.Point) []geom.Point {
 	if len(requests) == 0 {
 		return a.pos
 	}
-	assigned := make([][]geom.Point, len(a.pos))
+	if len(a.assigned) != len(a.pos) {
+		a.assigned = make([][]geom.Point, len(a.pos))
+	}
+	for j := range a.assigned {
+		a.assigned[j] = a.assigned[j][:0]
+	}
 	for _, v := range requests {
 		bestJ, bestD := 0, math.Inf(1)
 		for j, p := range a.pos {
@@ -73,19 +86,18 @@ func (a *MtCK) Move(requests []geom.Point) []geom.Point {
 				bestD, bestJ = d, j
 			}
 		}
-		assigned[bestJ] = append(assigned[bestJ], v)
+		a.assigned[bestJ] = append(a.assigned[bestJ], v)
 	}
 	cap := a.cfg.OnlineCap()
-	for j := range a.pos {
-		batch := assigned[j]
+	for j, batch := range a.assigned {
 		if len(batch) == 0 {
 			continue
 		}
-		c := median.Closest(batch, a.pos[j], median.Options{})
-		dist := geom.Dist(a.pos[j], c)
+		a.center = median.ClosestInto(a.center, batch, a.pos[j], median.Options{})
+		dist := geom.Dist(a.pos[j], a.center)
 		speed := math.Min(1, float64(len(batch))/a.cfg.D)
 		step := math.Min(speed*dist, cap)
-		a.pos[j] = geom.MoveToward(a.pos[j], c, step)
+		a.pos[j] = geom.MoveTowardInto(a.pos[j], a.pos[j], a.center, step)
 	}
 	return a.pos
 }

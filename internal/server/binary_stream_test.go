@@ -141,17 +141,53 @@ func TestStreamBinaryBadPointsKeepsStream(t *testing.T) {
 	}
 }
 
+// TestStreamTinyTriangleKeepsStream is the server-level regression test
+// for the 3-point closed form's degenerate fallback, which used to recurse
+// until a fatal stack overflow: one step frame carrying a tiny
+// non-collinear triangle killed the process. The step must be acked and
+// the stream must keep serving.
+func TestStreamTinyTriangleKeepsStream(t *testing.T) {
+	_, ts := newStreamServer(t)
+	c := dialStream(t, ts)
+	c.hello(2)
+	const s = 4e-8
+	c.step(1, []wire.Point{{0, 0}, {s, 0}, {s / 2, 0.866 * s}})
+	var ack wire.AckFrame
+	c.recv(&ack)
+	if ack.ID != 1 || ack.Accepted != 3 {
+		t.Fatalf("tiny-triangle step: ack %+v", ack)
+	}
+	c.step(2, reqsFor(2, 2))
+	c.recv(&ack)
+	if ack.ID != 2 {
+		t.Fatalf("stream did not continue past the tiny-triangle step: ack %+v", ack)
+	}
+}
+
 // TestStreamServerZeroAlloc gates the server-side steady state at
 // 0 allocs/op: decode a binary step frame into a pooled buffer, validate,
 // enqueue, wait for the engine, encode the binary ack, release. This is
 // the exact component chain readLoop/writeLoop run per frame (minus the
 // socket), and AllocsPerRun measures global mallocs, so the background
 // step loop's allocations count too — a regression anywhere in the
-// pipeline fails this test.
+// pipeline fails this test. It runs an 8-request batch (the Weiszfeld
+// iteration) and a 3-request one (the closed form).
 func TestStreamServerZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budget is not measurable under -race (the race runtime allocates)")
 	}
+	for _, tc := range []struct {
+		name string
+		reqs []wire.Point
+	}{
+		{"8-requests", reqsFor(1, 8)},
+		{"3-requests", []wire.Point{{0, 0}, {4, 0}, {1, 3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { streamServerZeroAlloc(t, tc.reqs) })
+	}
+}
+
+func streamServerZeroAlloc(t *testing.T, reqs []wire.Point) {
 	cfg := testConfig(1)
 	s, err := New(cfg, []geom.Point{geom.NewPoint(0, 0)}, core.Fleet(core.NewMtC()), Options{
 		QueueLimit: 128, // CoalesceWindow 0: timers allocate
@@ -162,9 +198,6 @@ func TestStreamServerZeroAlloc(t *testing.T) {
 	defer s.Close()
 
 	c := &srvStream{srv: s, bw: bufio.NewWriterSize(io.Discard, 1<<16)}
-	// A batch of 8 non-collinear requests: the pooled Weiszfeld path (the
-	// n==3 closed form still allocates and is documented as such).
-	reqs := reqsFor(1, 8)
 	stepPayload := wire.AppendStepFrom(nil, wire.V1, 1, reqs)
 
 	var payload []byte

@@ -295,3 +295,44 @@ func TestRouterStepValidation(t *testing.T) {
 		t.Fatalf("step after Finish = %v, want ErrFinished", err)
 	}
 }
+
+// TestRouterStepAllocBudget pins a warm router step driving MtCK: with one
+// shard the step runs inline and allocates nothing; with more, the only
+// allocations are engine.StepAll's goroutine fan-out, at most
+// 2·shards+2 per step.
+func TestRouterStepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budget is not measurable under -race (the race runtime allocates)")
+	}
+	const totalServers, perStep = 16, 128
+	batches := make([][]geom.Point, 8)
+	for i := range batches {
+		batches[i] = spreadBatch(i, perStep)
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		cfg := shardedConfig(n, totalServers/n)
+		r, err := New(cfg, Starts(cfg, 5), newMtCK, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		step := func() {
+			if err := r.Step(batches[i%len(batches)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for w := 0; w < 2*len(batches); w++ {
+			step()
+		}
+		budget := 0.0
+		if n > 1 {
+			budget = float64(2*n + 2)
+		}
+		if allocs := testing.AllocsPerRun(50, step); allocs > budget {
+			t.Errorf("shards=%d: warm router step allocates %v/op, budget %v", n, allocs, budget)
+		} else {
+			t.Logf("shards=%d: %v allocs/op (budget %v)", n, allocs, budget)
+		}
+	}
+}
